@@ -95,8 +95,8 @@ CSO_TRACE="jsonl:$GOLD/trace.jsonl" cargo run -q --release --offline -p cso-benc
 diff "$GOLD/warm/table1.csv" "$GOLD/traced/table1.csv"
 
 # Lint-gated campaign: with CSO_LINT=deny the engine runs the analyzer
-# (and its box pretightening) before every synthesis; on well-formed
-# sketches that must not move a single byte of the semantic CSV.
+# before every synthesis; on well-formed sketches that must not move a
+# single byte of the semantic CSV.
 echo "==> table1.csv golden diff (CSO_LINT=deny vs default)"
 CSO_LINT=deny cargo run -q --release --offline -p cso-bench --bin repro -- \
     table1 --csv "$GOLD/linted" >/dev/null

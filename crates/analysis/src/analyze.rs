@@ -92,8 +92,7 @@ pub struct Analysis {
     /// Sound enclosure of the objective over the given bounds.
     pub output_range: Interval,
     /// Outward-rounded enclosure of each hole's declared (or default)
-    /// range — a superset of the solver's initial box per dimension, so
-    /// intersecting with it never cuts a feasible point.
+    /// range.
     pub hole_boxes: Vec<Interval>,
     /// Outward-rounded enclosure of each metric's bounds.
     pub param_boxes: Vec<Interval>,

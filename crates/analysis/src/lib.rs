@@ -23,9 +23,8 @@
 //! as deterministic JSON (for golden files and tooling).
 //!
 //! The derived hole enclosures are outward-rounded supersets of the
-//! declared bounds, so feeding them back to the solver as initial box
-//! tightening is an exact no-op on well-formed sketches — synthesis
-//! outcomes stay byte-identical (see the engine's pretightening tests).
+//! declared bounds, so intersecting them with the solver's initial box
+//! could never shrink it; the engine uses the analysis for lints only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

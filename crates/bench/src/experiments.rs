@@ -108,13 +108,6 @@ pub struct RunOutcome {
     /// Preference-edge clauses served from the query-layer cache instead
     /// of recompiled (zero when the cache is off).
     pub clauses_reused: usize,
-    /// Frontier boxes carried across iterations and re-refuted under a
-    /// strengthened query (zero when the cache is off).
-    pub boxes_carried: usize,
-    /// Solver dimensions the static analyzer's inferred enclosures
-    /// strictly tightened before the run (zero on well-formed sketches —
-    /// the byte-identity invariant).
-    pub boxes_pretightened: usize,
     /// Wall-clock seconds spent in solver seeding phases (not
     /// deterministic — telemetry CSV only).
     pub seeding_secs: f64,
@@ -156,8 +149,6 @@ fn one_run(target: (i64, i64, i64, i64), cfg_template: &SynthConfig, seed: u64) 
         eval_errors: solver.eval_errors,
         cache_hits: solver.cache_hits,
         clauses_reused: solver.clauses_reused,
-        boxes_carried: solver.boxes_carried,
-        boxes_pretightened: solver.boxes_pretightened,
         seeding_secs: solver.seeding_time.as_secs_f64(),
         bnp_secs: solver.bnp_time.as_secs_f64(),
         oracle_secs: result.stats.oracle_secs(),
@@ -541,8 +532,7 @@ mod tests {
         let tel = crate::report::csv_table1_telemetry(&a_res);
         assert!(tel.starts_with(
             "run,solver_queries,boxes_explored,boxes_pruned,eval_errors,\
-             cache_hits,clauses_reused,boxes_carried,boxes_pretightened,\
-             seeding_secs,bnp_secs,oracle_secs\n"
+             cache_hits,clauses_reused,seeding_secs,bnp_secs,oracle_secs\n"
         ));
         assert_eq!(tel.lines().count(), 4, "header + 3 runs:\n{tel}");
     }

@@ -133,22 +133,21 @@ pub fn csv_table1(t: &Table1Result) -> String {
 }
 
 /// Per-run solver telemetry CSV: physical work counters (queries, boxes),
-/// incremental-cache counters (memo hits, clause reuse, carried frontier
-/// boxes), the wall-clock split between seeding and branch-and-prune,
-/// and the measured-and-excluded oracle time. These columns vary with
-/// the cache mode and the timing columns vary run to run — this file
-/// intentionally makes no byte-identity promise.
+/// incremental-cache counters (memo hits, clause reuse), the wall-clock
+/// split between seeding and branch-and-prune, and the
+/// measured-and-excluded oracle time. These columns vary with the cache
+/// mode and the timing columns vary run to run — this file intentionally
+/// makes no byte-identity promise.
 #[must_use]
 pub fn csv_table1_telemetry(t: &Table1Result) -> String {
     let mut s = String::from(
         "run,solver_queries,boxes_explored,boxes_pruned,eval_errors,\
-         cache_hits,clauses_reused,boxes_carried,boxes_pretightened,\
-         seeding_secs,bnp_secs,oracle_secs\n",
+         cache_hits,clauses_reused,seeding_secs,bnp_secs,oracle_secs\n",
     );
     for (i, r) in t.runs.iter().enumerate() {
         let _ = writeln!(
             s,
-            "{},{},{},{},{},{},{},{},{},{:.6},{:.6},{:.6}",
+            "{},{},{},{},{},{},{},{:.6},{:.6},{:.6}",
             i,
             r.solver_queries,
             r.boxes_explored,
@@ -156,8 +155,6 @@ pub fn csv_table1_telemetry(t: &Table1Result) -> String {
             r.eval_errors,
             r.cache_hits,
             r.clauses_reused,
-            r.boxes_carried,
-            r.boxes_pretightened,
             r.seeding_secs,
             r.bnp_secs,
             r.oracle_secs
@@ -242,8 +239,6 @@ mod tests {
             eval_errors: 2,
             cache_hits: 17,
             clauses_reused: 88,
-            boxes_carried: 9,
-            boxes_pretightened: 0,
             seeding_secs: 1.5,
             bnp_secs: 3.25,
             oracle_secs: 0.125,
@@ -253,8 +248,8 @@ mod tests {
         assert!(!csv.contains("3.25"), "no wall-clock fields in the deterministic CSV");
         assert!(!csv.contains("4567"), "work counters vary with the cache mode — telemetry only");
         let tel = csv_table1_telemetry(&t);
-        assert!(tel.contains("boxes_pretightened"));
-        assert!(tel.contains("0,120,4567,1234,2,17,88,9,0,1.500000,3.250000,0.125000"));
+        assert!(tel.contains("clauses_reused,seeding_secs"));
+        assert!(tel.contains("0,120,4567,1234,2,17,88,1.500000,3.250000,0.125000"));
     }
 
     #[test]

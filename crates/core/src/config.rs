@@ -62,9 +62,8 @@ pub struct SynthConfig {
     /// (coarser is sound for a δ-convergence check and much cheaper).
     pub proof_delta_factor: f64,
     /// Enable the incremental caches: per-edge clause reuse in the query
-    /// layer, exact solver-query memoization, and warm-started refutation
-    /// carried between iterations. Purely an optimization — synthesis
-    /// outcomes are byte-identical either way (enforced by the
+    /// layer and exact solver-query memoization. Purely an optimization —
+    /// synthesis outcomes are byte-identical either way (enforced by the
     /// `incremental_equivalence` differential tests). The
     /// `CSO_SYNTH_CACHE=off` environment variable overrides this to force
     /// the cold path process-wide.
@@ -72,15 +71,6 @@ pub struct SynthConfig {
     /// Static-analysis policy applied to the sketch before synthesis.
     /// `CSO_LINT={deny,warn,off}` overrides it process-wide.
     pub lint: LintPolicy,
-    /// Intersect the solver's initial box with the analyzer's inferred
-    /// hole enclosures. The enclosures are outward-rounded supersets of
-    /// the declared ranges, so on well-formed sketches this is an exact
-    /// no-op and synthesis outcomes stay byte-identical (enforced by the
-    /// `pretighten_equivalence` differential tests); any dimension a
-    /// future sharper inference does shrink is counted in the
-    /// `boxes_pretightened` telemetry. Ignored when `lint` is
-    /// [`LintPolicy::Off`] (no analysis runs).
-    pub pretighten: bool,
 }
 
 impl Default for SynthConfig {
@@ -101,7 +91,6 @@ impl Default for SynthConfig {
             proof_delta_factor: 2.0,
             incremental: true,
             lint: LintPolicy::Deny,
-            pretighten: true,
         }
     }
 }
@@ -134,7 +123,6 @@ mod tests {
         assert_eq!(c.pairs_per_iteration, 1);
         assert!(c.margin.is_positive());
         assert_eq!(c.lint, LintPolicy::Deny);
-        assert!(c.pretighten);
     }
 
     #[test]

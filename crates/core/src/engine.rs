@@ -217,10 +217,9 @@ fn lint_env_policy() -> Option<LintPolicy> {
     })
 }
 
-/// Diagnostic message under the legacy `[synth]` scope. Routed through
-/// [`cso_runtime::trace`]: `CSO_SYNTH_TRACE=1` still prints these to
-/// stderr (it aliases `CSO_TRACE=pretty`), and JSONL sinks capture them
-/// as structured `Message` events.
+/// Diagnostic message under the `[synth]` scope. Routed through
+/// [`cso_runtime::trace`]: `CSO_TRACE=pretty` prints these to stderr,
+/// and JSONL sinks capture them as structured `Message` events.
 fn synth_msg(args: std::fmt::Arguments<'_>) {
     trace::message("synth", args);
 }
@@ -245,14 +244,10 @@ pub struct Synthesizer {
     pub(crate) sketch: Sketch,
     pub(crate) cfg: SynthConfig,
     qb: QueryBuilder,
-    /// Solver domain every query runs over: the query builder's box,
-    /// intersected with the analyzer's inferred hole enclosures when
-    /// pretightening is on. Computed once — the domain is part of every
-    /// memo key, so it must never drift mid-run.
+    /// Solver domain every query runs over: the query builder's box.
+    /// Computed once — the domain is part of every memo key, so it must
+    /// never drift mid-run.
     domain: BoxDomain,
-    /// Dimensions the analyzer's enclosures strictly shrank (0 on
-    /// well-formed sketches; see [`SynthConfig::pretighten`]).
-    pretightened_dims: usize,
     /// Static-analysis report, when the lint policy ran the analyzer.
     lint_report: Option<Report>,
     pub(crate) graph: PrefGraph<Scenario>,
@@ -265,21 +260,12 @@ pub struct Synthesizer {
     /// Solver telemetry accumulated since the current iteration started
     /// (drained into each [`IterationRecord`]).
     pub(crate) iter_solver: SolverTelemetry,
-    /// Cross-query solver cache (memoization + warm-start frontiers);
-    /// `None` when incremental mode is off.
+    /// Cross-query solver memo; `None` when incremental mode is off.
     pub(crate) cache: Option<SolverCache>,
     /// Where the steppable engine is parked (see [`EngineState`]).
     pub(crate) state: EngineState,
     /// Loop-carried iteration state (see [`LoopCtx`]).
     pub(crate) ctx: LoopCtx,
-    /// Semantic epoch of the preference graph: bumped whenever a graph
-    /// mutation may have *weakened* the feasibility formula (an edge
-    /// removal not entailed by the remaining closure, or an indifference
-    /// merge, which can relax tie constraints between old class members).
-    /// Warm-start frontiers recorded under an older semantic epoch are
-    /// invalid; pure strengthenings (strict edges, entailed removals)
-    /// deliberately leave it untouched.
-    pub(crate) sem_epoch: u64,
     /// Statistics of the current/last run.
     pub stats: SynthStats,
 }
@@ -304,8 +290,7 @@ impl Synthesizer {
             });
         }
         let qb = QueryBuilder::new(sketch.clone(), space.clone(), &cfg);
-        let mut domain = qb.domain();
-        let mut pretightened_dims = 0usize;
+        let domain = qb.domain();
         let mut lint_report = None;
         let policy = lint_env_policy().unwrap_or(cfg.lint);
         if policy != LintPolicy::Off {
@@ -328,21 +313,6 @@ impl Synthesizer {
             if policy == LintPolicy::Deny && analysis.report.has_errors() {
                 return Err(SynthError::SketchRejected(analysis.report));
             }
-            if cfg.pretighten {
-                for (i, &id) in qb.hole_ids().iter().enumerate() {
-                    let cur = domain.get(id);
-                    // The inferred enclosure is a superset of the declared
-                    // range by construction, so the intersection cannot be
-                    // empty; any strict shrink means the analyzer proved a
-                    // sharper bound than the declaration.
-                    if let Some(tight) = cur.intersect(&analysis.hole_boxes[i]) {
-                        if tight != cur {
-                            pretightened_dims += 1;
-                            domain.set(id, tight);
-                        }
-                    }
-                }
-            }
             lint_report = Some(analysis.report);
         }
         let rng = Rng::seed_from_u64(cfg.seed);
@@ -353,7 +323,6 @@ impl Synthesizer {
             cfg,
             qb,
             domain,
-            pretightened_dims,
             lint_report,
             graph: PrefGraph::new(),
             vertex_of: HashMap::new(),
@@ -364,7 +333,6 @@ impl Synthesizer {
             cache: incremental.then(SolverCache::new),
             state: EngineState::Idle,
             ctx: LoopCtx::default(),
-            sem_epoch: 0,
             stats: SynthStats::default(),
         })
     }
@@ -373,11 +341,6 @@ impl Synthesizer {
     /// paper's `Viable(f)`; SWAN needs none).
     pub fn set_viability(&mut self, f: cso_logic::Formula) {
         self.qb.set_viability(f);
-        // Changing viability rewrites feasibility semantics wholesale.
-        self.sem_epoch += 1;
-        if let Some(c) = &mut self.cache {
-            c.clear_frontiers();
-        }
     }
 
     /// `true` when the incremental caches are active for this synthesizer.
@@ -437,29 +400,21 @@ impl Synthesizer {
 
     /// Solve `f` over the query domain through the incremental cache.
     ///
-    /// Order of preference: exact memo replay (byte-identical by solver
-    /// determinism), then — for call sites passing `warm_site` — the
-    /// warm-started Unsat shortcut, then a cold solve whose outcome is
-    /// memo-recorded and whose frontier is stored for the site.
-    ///
-    /// Pass `warm_site` only where `Unsat`, `DeltaUnsat` and `Exhausted`
-    /// all steer the loop identically: the shortcut may answer `Unsat`
-    /// where the cold path would have exhausted its budget. Returns the
-    /// outcome and the `sat_from_seeding` flag of the (possibly replayed)
-    /// run.
+    /// Exact memo replay when the query was seen before (byte-identical
+    /// by solver determinism), else a cold solve whose outcome is
+    /// memo-recorded. Returns the outcome and the `sat_from_seeding` flag
+    /// of the (possibly replayed) run.
     fn solve_cached(
         &mut self,
         site: u64,
-        warm_site: Option<u64>,
         f: &Formula,
         seeds: &[Model],
         delta_factor: f64,
         budget_factor: f64,
     ) -> (Outcome, bool) {
         let salt = Self::content_salt(site, f, seeds, delta_factor, budget_factor);
-        let mut sc = self.scaled_config(salt, delta_factor, budget_factor);
+        let sc = self.scaled_config(salt, delta_factor, budget_factor);
         let domain = self.domain.clone();
-        let (epoch, revision) = (self.sem_epoch, self.graph.revision());
 
         let key = self.cache.as_ref().map(|_| QueryKey {
             formula: f.clone(),
@@ -482,37 +437,9 @@ impl Synthesizer {
             }
         }
 
-        // One compilation per query: the warm-start refutation below and
-        // the solver share the tape. Seeded with the (fixed) query domain,
-        // so the analyzer-pretightened hole enclosures feed the tape's
-        // decided-verdict pass.
+        // Seeded with the (fixed) query domain, so the tape's
+        // decided-verdict pass covers every box the solver will visit.
         let q = CompiledQuery::prepare(f, Some(&domain), sc.tape);
-        if key.is_some() {
-            if let Some(ws) = warm_site {
-                let cache = self.cache.as_mut().expect("key implies cache");
-                let before = cache.stats.boxes_carried;
-                if cache.try_warm_unsat_compiled(ws, epoch, revision, &q) {
-                    let carried = cache.stats.boxes_carried - before;
-                    synth_msg(format_args!("  warm-start unsat: {carried} boxes re-refuted"));
-                    trace::counter("cache.warm_unsat", || {
-                        vec![("site", Value::U64(ws)), ("boxes", Value::U64(carried as u64))]
-                    });
-                    static WARM_UNSAT: Counter = Counter::new("cso_engine_warm_unsat_total");
-                    static BOXES_CARRIED: Counter = Counter::new("cso_engine_boxes_carried_total");
-                    WARM_UNSAT.inc(1);
-                    BOXES_CARRIED.inc(carried as u64);
-                    self.tally(&SolverTelemetry {
-                        boxes_carried: carried,
-                        ..SolverTelemetry::default()
-                    });
-                    // Not memo-recorded: the cold outcome at this exact key
-                    // could be DeltaUnsat/Exhausted rather than Unsat.
-                    return (Outcome::Unsat, false);
-                }
-                sc.collect_frontier = true;
-            }
-        }
-
         let mut solver = Solver::new(sc);
         let out = solver.solve_compiled(&q, &domain, seeds);
         self.absorb_solver(&solver);
@@ -520,11 +447,6 @@ impl Synthesizer {
         if let Some(k) = key {
             let cache = self.cache.as_mut().expect("key implies cache");
             cache.record(k, out.clone(), sat_from_seeding);
-            if out.is_unsat_like() {
-                if let (Some(ws), Some(frontier)) = (warm_site, solver.take_frontier()) {
-                    cache.store_frontier(ws, epoch, revision, frontier);
-                }
-            }
         }
         (out, sat_from_seeding)
     }
@@ -677,20 +599,8 @@ impl Synthesizer {
                 if w[0] == w[1] || self.graph.indifferent(w[0], w[1]) {
                     continue;
                 }
-                match self.graph.mark_indifferent(w[0], w[1]) {
-                    Ok(_) => {
-                        // A class merge re-expresses tie constraints
-                        // against the new representative; the constraint
-                        // between two old members loosens from `tol` to
-                        // `2·tol` via the triangle inequality, so this is
-                        // not a pure strengthening of feasibility.
-                        self.note_semantic_weakening();
-                    }
-                    Err(_) => {
-                        if !self.cfg.repair_noise {
-                            return Err(SynthError::InconsistentPreferences);
-                        }
-                    }
+                if self.graph.mark_indifferent(w[0], w[1]).is_err() && !self.cfg.repair_noise {
+                    return Err(SynthError::InconsistentPreferences);
                 }
             }
         }
@@ -716,29 +626,9 @@ impl Synthesizer {
         if self.cfg.repair_noise {
             let _sp = trace::span("engine.noise_repair");
             let removed = cso_prefgraph::noise::repair(&mut self.graph);
-            // Epoch salvage: a removed edge whose preference is still
-            // entailed by the remaining transitive closure leaves
-            // feasibility semantics unchanged, so carried frontiers stay
-            // valid. Only a genuine weakening invalidates them.
-            if removed.iter().any(|&id| {
-                let e = &self.graph.all_edges()[id.index()];
-                !self.graph.reaches(e.preferred, e.other)
-            }) {
-                self.note_semantic_weakening();
-            }
             self.stats.edges_repaired += removed.len();
         }
         Ok(())
-    }
-
-    /// Record that a graph mutation may have weakened feasibility: carried
-    /// warm-start frontiers are no longer trustworthy (memo entries are,
-    /// always — their key is the entire query).
-    fn note_semantic_weakening(&mut self) {
-        self.sem_epoch += 1;
-        if let Some(c) = &mut self.cache {
-            c.clear_frontiers();
-        }
     }
 
     /// Find a candidate consistent with the preference graph.
@@ -766,7 +656,7 @@ impl Synthesizer {
             if i > 0 {
                 all_seeds.extend(combo_seeds.iter().cloned());
             }
-            let (out, _) = self.solve_cached(SITE_CANDIDATE, None, &feas, &all_seeds, 1.0, budget);
+            let (out, _) = self.solve_cached(SITE_CANDIDATE, &feas, &all_seeds, 1.0, budget);
             match out {
                 Outcome::Sat(m) => {
                     let holes = self.qb.model_holes(&m);
@@ -798,7 +688,6 @@ impl Synthesizer {
             vec![("exclusions", Value::U64(exclusions.len() as u64))]
         });
         let feas = self.qb.feasibility(&self.graph);
-        let mut fast_path_dry = true;
         // Probe every hole at a large separation, then sweep again at
         // smaller separations: large separations produce wide disagreement
         // regions that sampling finds instantly, and per-hole restriction
@@ -830,25 +719,12 @@ impl Synthesizer {
                 seeds.push(self.qb.seed_from_holes(&shifted));
             }
             seeds.extend(extra_seeds.iter().cloned());
-            // Warm-start site: fixed candidate holes, probed hole, and
-            // separation pin the non-feasibility conjunct exactly, so a
-            // later query here only ever strengthens (feasibility gains
-            // conjuncts as the graph grows) — the frontier carry contract.
-            let mut wh = Fnv64::new();
-            wh.write_u64(SITE_FB);
-            fa.hole_values().hash(&mut wh);
-            wh.write_u64(hole as u64);
-            wh.write_u64(sep_rel.to_bits());
-            let warm_site = wh.finish();
-            let (fb_out, _) = self.solve_cached(SITE_FB, Some(warm_site), &fb_q, &seeds, 1.0, 0.25);
+            let (fb_out, _) = self.solve_cached(SITE_FB, &fb_q, &seeds, 1.0, 0.25);
             let fb = match fb_out {
-                Outcome::Sat(m) => {
-                    fast_path_dry = false;
-                    match self.sketch.complete(self.qb.model_holes(&m)) {
-                        Ok(fb) => fb,
-                        Err(_) => break,
-                    }
-                }
+                Outcome::Sat(m) => match self.sketch.complete(self.qb.model_holes(&m)) {
+                    Ok(fb) => fb,
+                    Err(_) => break,
+                },
                 // No candidate this far away: try a smaller separation.
                 Outcome::Unsat | Outcome::DeltaUnsat => {
                     synth_msg(format_args!("fb search: hole {hole} unsat"));
@@ -856,7 +732,6 @@ impl Synthesizer {
                 }
                 Outcome::Exhausted => {
                     synth_msg(format_args!("fb search: hole {hole} exhausted"));
-                    fast_path_dry = false;
                     continue;
                 }
             };
@@ -864,8 +739,7 @@ impl Synthesizer {
             // 2. Scenarios the frozen pair disagrees on. Graph-independent
             // (frozen candidates only), so repeats are exact memo hits.
             let sq = self.qb.scenario_disagreement(fa, &fb, exclusions);
-            let (sq_out, from_seeding) =
-                self.solve_cached(SITE_SCENARIO, None, &sq, &[], 1.0, 0.25);
+            let (sq_out, from_seeding) = self.solve_cached(SITE_SCENARIO, &sq, &[], 1.0, 0.25);
             match sq_out {
                 Outcome::Sat(m) => {
                     let pair = self.qb.model_pair(&m);
@@ -890,11 +764,8 @@ impl Synthesizer {
         synth_msg(format_args!("fast path dry; running joint proof"));
         let _proof = trace::span("engine.proof");
         let q = self.qb.disambiguation(&self.graph, fa, exclusions);
-        // Memo-only (no warm site): here Exhausted and Unsat steer the
-        // loop differently, so the warm shortcut could flip a
-        // budget-convergence into a proof-convergence.
         let (q_out, from_seeding) =
-            self.solve_cached(SITE_PROOF, None, &q, &[], self.cfg.proof_delta_factor, 1.0);
+            self.solve_cached(SITE_PROOF, &q, &[], self.cfg.proof_delta_factor, 1.0);
         match q_out {
             Outcome::Sat(m) => {
                 let pair = self.qb.model_pair(&m);
@@ -902,15 +773,7 @@ impl Synthesizer {
                 PairSearch::Found { pair, from_seeding, fb_holes }
             }
             Outcome::Unsat | Outcome::DeltaUnsat => PairSearch::Converged,
-            Outcome::Exhausted => {
-                if fast_path_dry {
-                    // Candidates cluster around fa and the proof ran out of
-                    // budget: treat as budget-convergence evidence.
-                    PairSearch::Exhausted
-                } else {
-                    PairSearch::Exhausted
-                }
-            }
+            Outcome::Exhausted => PairSearch::Exhausted,
         }
     }
 
@@ -1081,14 +944,8 @@ impl Synthesizer {
         if let Some(c) = &mut self.cache {
             *c = SolverCache::new();
         }
-        self.sem_epoch = 0;
         self.qb.take_clause_counters();
         self.ctx = LoopCtx::default();
-        if self.pretightened_dims > 0 {
-            let dims = self.pretightened_dims;
-            trace::counter("engine.pretighten", || vec![("dims", Value::U64(dims as u64))]);
-            self.tally(&SolverTelemetry { boxes_pretightened: dims, ..SolverTelemetry::default() });
-        }
     }
 
     /// Sample the initial random scenarios (paper: 5 by default).
@@ -1342,16 +1199,10 @@ mod tests {
     }
 
     #[test]
-    fn swan_passes_lint_and_pretightening_is_a_noop() {
+    fn swan_passes_lint() {
         let synth = Synthesizer::new(swan_sketch(), MetricSpace::swan(), fast_cfg(42)).unwrap();
         let report = synth.lint_report().expect("deny policy analyses");
         assert!(!report.has_errors(), "{report:?}");
-        assert_eq!(synth.pretightened_dims, 0, "declared ranges are already sharp");
-        // The solver domain is exactly the query builder's: byte-identical
-        // memo keys with pretightening on or off.
-        for (a, b) in synth.domain.intervals().iter().zip(synth.qb.domain().intervals()) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
@@ -1537,7 +1388,6 @@ mod tests {
         let cold_totals = cold_result.stats.solver_totals;
         assert_eq!(cold_totals.cache_hits, 0);
         assert_eq!(cold_totals.clauses_reused, 0);
-        assert_eq!(cold_totals.boxes_carried, 0);
         assert_eq!(cold_result.objective.hole_values(), result.objective.hole_values());
         assert_eq!(cold_result.outcome, result.outcome);
         assert_eq!(cold_result.stats.iterations(), result.stats.iterations());

@@ -4,7 +4,7 @@
 //! synthesis session: the sketch source, metric space and full
 //! configuration, plus every piece of dynamic state the engine carries —
 //! preference graph, RNG stream position, feasibility-seed pool, solver
-//! warm-start cache, accumulated statistics, and the exact
+//! memo, accumulated statistics, and the exact
 //! [`EngineState`](crate::engine) the session is parked in. Restoring a
 //! snapshot and resuming produces *byte-identical* results to an
 //! uninterrupted run (enforced by the `session_resume` differential tests).
@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! magic   8 bytes  "CSOSNAP\0"
-//! version 1 byte   currently 2
+//! version 1 byte   currently 3
 //! session 8 bytes  session id, little-endian u64
 //! config  sketch source, metric space, SynthConfig
 //! state   rng, pool, graph, stats, loop context, engine state, cache
@@ -25,7 +25,7 @@
 //! [`Term`]/[`Formula`] subtrees are deduplicated with preorder backrefs,
 //! so a snapshot of a memo-heavy cache stays proportional to the number of
 //! *distinct* subtrees. Hash-map iteration order never leaks into the
-//! bytes: memo entries are sorted by fingerprint and frontiers by site, so
+//! bytes: memo entries are sorted by fingerprint, so
 //! `snapshot(restore(s)) == s`.
 //!
 //! Known limitation: a custom viability constraint installed with
@@ -39,8 +39,8 @@ use crate::scenario::{MetricSpace, Scenario};
 use crate::stats::{IterationRecord, SolverTelemetry, SynthStats};
 use cso_logic::solver::{Outcome, SolverConfig};
 use cso_logic::{
-    BoxDomain, CacheExport, CacheStats, CmpOp, Formula, FrontierExport, MemoEntry, Model, QueryKey,
-    SolverCache, Term, VarId,
+    BoxDomain, CacheExport, CacheStats, CmpOp, Formula, MemoEntry, Model, QueryKey, SolverCache,
+    Term, VarId,
 };
 use cso_numeric::{Interval, Rat};
 use cso_prefgraph::{GraphParts, PrefEdge, PrefGraph, ScenarioId};
@@ -54,8 +54,10 @@ use std::time::Duration;
 /// Leading magic bytes of every snapshot.
 pub const MAGIC: [u8; 8] = *b"CSOSNAP\0";
 /// Current snapshot format version. Version 2 added the solver's `tape`
-/// toggle to the config section.
-pub const VERSION: u8 = 2;
+/// toggle to the config section; version 3 dropped the warm-start
+/// frontier cache, the analyzer box-tightening toggle and the telemetry
+/// fields of both.
+pub const VERSION: u8 = 3;
 
 /// Why a snapshot could not be written or restored.
 #[derive(Debug, Clone)]
@@ -301,8 +303,6 @@ impl Writer {
         self.usize(t.max_workers);
         self.usize(t.cache_hits);
         self.usize(t.clauses_reused);
-        self.usize(t.boxes_carried);
-        self.usize(t.boxes_pretightened);
     }
 
     fn stats(&mut self, s: &SynthStats) {
@@ -565,8 +565,6 @@ impl<'a> Reader<'a> {
             max_workers: self.usize()?,
             cache_hits: self.usize()?,
             clauses_reused: self.usize()?,
-            boxes_carried: self.usize()?,
-            boxes_pretightened: self.usize()?,
         })
     }
 
@@ -648,7 +646,6 @@ pub fn save(synth: &Synthesizer, session_id: u64) -> Result<Vec<u8>> {
     for s in synth.rng.state() {
         w.u64(s);
     }
-    w.u64(synth.sem_epoch);
     w.usize(synth.pool.len());
     for holes in &synth.pool {
         w.rats(holes);
@@ -694,7 +691,6 @@ fn write_config(w: &mut Writer, cfg: &SynthConfig) {
     w.usize(cfg.solver.jitters_per_seed);
     w.u64(cfg.solver.seed);
     w.bool(cfg.solver.use_seeding);
-    w.bool(cfg.solver.collect_frontier);
     w.usize(cfg.solver.threads);
     w.bool(cfg.solver.tape);
     w.f64(cfg.delta_rel);
@@ -708,7 +704,6 @@ fn write_config(w: &mut Writer, cfg: &SynthConfig) {
         LintPolicy::Warn => 1,
         LintPolicy::Off => 2,
     });
-    w.bool(cfg.pretighten);
 }
 
 fn write_graph(w: &mut Writer, graph: &PrefGraph<Scenario>) {
@@ -837,21 +832,8 @@ fn write_cache(w: &mut Writer, export: &CacheExport) {
         w.outcome(&entry.outcome);
         w.bool(entry.sat_from_seeding);
     }
-    w.usize(export.frontiers.len());
-    for fr in &export.frontiers {
-        w.u64(fr.site);
-        w.u64(fr.epoch);
-        w.u64(fr.revision);
-        w.usize(fr.boxes.len());
-        for b in &fr.boxes {
-            w.box_domain(b);
-        }
-    }
     w.usize(export.stats.cache_hits);
     w.usize(export.stats.cache_misses);
-    w.usize(export.stats.warm_unsat);
-    w.usize(export.stats.boxes_carried);
-    w.usize(export.stats.warm_fallbacks);
 }
 
 // ---------------------------------------------------------------------------
@@ -906,7 +888,6 @@ pub fn load(bytes: &[u8]) -> Result<(Synthesizer, u64)> {
     // Dynamic section.
     let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
     synth.rng = Rng::from_state(rng_state);
-    synth.sem_epoch = r.u64()?;
     let pool_len = r.len(8)?;
     let mut pool = Vec::with_capacity(pool_len);
     for _ in 0..pool_len {
@@ -924,7 +905,7 @@ pub fn load(bytes: &[u8]) -> Result<(Synthesizer, u64)> {
     if has_cache {
         let export = read_cache(&mut r)?;
         // Re-import only if this process also runs incrementally; with the
-        // cache forced off the warm state is dropped (outcomes are
+        // cache forced off the memo is dropped (outcomes are
         // byte-identical either way — the cache is an optimization).
         if synth.cache.is_some() {
             synth.cache = Some(SolverCache::import(export));
@@ -962,7 +943,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
     let jitters_per_seed = r.usize()?;
     let solver_seed = r.u64()?;
     let use_seeding = r.bool()?;
-    let collect_frontier = r.bool()?;
     let threads = r.usize()?;
     let tape = r.bool()?;
     let solver = SolverConfig {
@@ -974,7 +954,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
         jitters_per_seed,
         seed: solver_seed,
         use_seeding,
-        collect_frontier,
         threads,
         tape,
     };
@@ -990,7 +969,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
         2 => LintPolicy::Off,
         t => return Err(corrupt(format!("unknown lint policy tag {t}"))),
     };
-    let pretighten = r.bool()?;
     Ok(SynthConfig {
         initial_scenarios,
         pairs_per_iteration,
@@ -1007,7 +985,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<SynthConfig> {
         proof_delta_factor,
         incremental,
         lint,
-        pretighten,
     })
 }
 
@@ -1160,27 +1137,8 @@ fn read_cache(r: &mut Reader<'_>) -> Result<CacheExport> {
             MemoEntry { outcome, sat_from_seeding },
         ));
     }
-    let nf = r.len(24)?;
-    let mut frontiers = Vec::with_capacity(nf);
-    for _ in 0..nf {
-        let site = r.u64()?;
-        let epoch = r.u64()?;
-        let revision = r.u64()?;
-        let nb = r.len(8)?;
-        let mut boxes = Vec::with_capacity(nb);
-        for _ in 0..nb {
-            boxes.push(r.box_domain()?);
-        }
-        frontiers.push(FrontierExport { site, epoch, revision, boxes });
-    }
-    let stats = CacheStats {
-        cache_hits: r.usize()?,
-        cache_misses: r.usize()?,
-        warm_unsat: r.usize()?,
-        boxes_carried: r.usize()?,
-        warm_fallbacks: r.usize()?,
-    };
-    Ok(CacheExport { memo, frontiers, stats })
+    let stats = CacheStats { cache_hits: r.usize()?, cache_misses: r.usize()? };
+    Ok(CacheExport { memo, stats })
 }
 
 #[cfg(test)]
@@ -1211,8 +1169,12 @@ mod tests {
         assert!(matches!(load(b""), Err(SnapshotError::BadMagic)));
         let synth = tiny_synth();
         let mut bytes = save(&synth, 1).expect("snapshot");
-        bytes[MAGIC.len()] = 99;
-        assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(99))));
+        // An unknown future version and the previous (v2) format, whose
+        // extra frontier/epoch fields this reader no longer understands.
+        for v in [99, 2] {
+            bytes[MAGIC.len()] = v;
+            assert!(matches!(load(&bytes), Err(SnapshotError::UnsupportedVersion(x)) if x == v));
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!
 //! The matrix crosses ≥ 3 seeds with solver thread counts {1, 4}: the
 //! parallel solver is thread-count-invariant by construction, and the
-//! caches must preserve that (frontier order, memo replay and clause
-//! reuse are all deterministic regardless of worker count).
+//! caches must preserve that (memo replay and clause reuse are both
+//! deterministic regardless of worker count).
 
 use cso_numeric::Rat;
 use cso_sketch::swan::{swan_sketch, swan_target};

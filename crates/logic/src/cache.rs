@@ -1,42 +1,20 @@
-//! Cross-query solver caching: exact replay and warm-started refutation.
+//! Cross-query solver caching: exact replay.
 //!
 //! The synthesis loop re-issues many *logically identical* solver queries —
 //! duplicate scenario-disagreement checks for the same candidate pair,
 //! and whole iterations that replay the previous one verbatim once the
-//! preference graph stops growing. Two mechanisms exploit this:
+//! preference graph stops growing. A query identical in every input that
+//! can influence the solver (formula, domain, seeds, budget, δ, RNG seed)
+//! replays the recorded [`Outcome`] without running the solver. The
+//! solver is deterministic (and byte-identical across thread counts), so
+//! replay is *equivalence by construction*; entries never need
+//! invalidation because the key is the whole input.
 //!
-//! 1. **Exact memoization** — a query identical in every input that can
-//!    influence the solver (formula, domain, seeds, budget, δ, RNG seed)
-//!    replays the recorded [`Outcome`] without running the solver. The
-//!    solver is deterministic (and byte-identical across thread counts),
-//!    so replay is *equivalence by construction*; entries never need
-//!    invalidation because the key is the whole input.
-//! 2. **Warm-started refutation** — an unsat-like run records its
-//!    *frontier* (see [`crate::solver::Solver::take_frontier`]): boxes
-//!    covering every point the run did not soundly refute. When a later
-//!    query at the same site is **semantically stronger** (the synthesis
-//!    loop only ever adds ranking constraints between graph weakenings),
-//!    any model of the new formula would also model the old one, so it can
-//!    only hide inside the carried frontier. If interval evaluation
-//!    refutes the new formula on *every* frontier box, the new query is
-//!    **Unsat** — a sound proof, skipping branch-and-prune entirely. A
-//!    single surviving box aborts the shortcut and the caller falls back
-//!    to a cold solve; the shortcut can therefore never flip a
-//!    satisfiable query.
-//!
-//! The caller (the synthesis engine) is responsible for the monotonicity
-//! contract behind mechanism 2: frontiers are keyed by a site fingerprint
-//! and guarded by the preference graph's `(epoch, revision)` pair —
-//! strengthening bumps `revision`, any weakening (edge removal) bumps
-//! `epoch` and drops every stored frontier at validation time. The box
-//! domain must be unchanged between store and reuse (the engine's query
-//! domain is fixed per run).
+//! The engine's other cache, per-edge preference clauses, lives with the
+//! query builder (`cso_synth::query`), not here.
 
-use crate::ieval::{ieval_formula, Tri};
 use crate::model::Model;
-use crate::simplify::simplify_formula;
 use crate::solver::Outcome;
-use crate::tape::{CompiledQuery, TapeScratch};
 use crate::term::Formula;
 use crate::vars::BoxDomain;
 use cso_runtime::hash::Fnv64;
@@ -47,15 +25,6 @@ use std::hash::{Hash, Hasher};
 /// A synthesis run issues a few hundred queries, far below the cap — this
 /// exists only to bound memory for pathological callers.
 const MEMO_CAP: usize = 8_192;
-
-/// Frontiers larger than this are not stored: re-verifying that many boxes
-/// would rival the cost of the cold solve they replace.
-const FRONTIER_BOX_CAP: usize = 16_384;
-
-/// Frontier boxes refuted per batched tape pass. Bounds the interval
-/// scratch to `WARM_CHUNK × slots` values however large the frontier is,
-/// while keeping each pass wide enough to amortize the slot loop.
-const WARM_CHUNK: usize = 64;
 
 /// The complete identity of one solver invocation: every input that can
 /// influence the outcome. Two invocations with equal keys produce
@@ -147,20 +116,6 @@ pub struct MemoEntry {
     pub sat_from_seeding: bool,
 }
 
-/// A carried frontier for one query site.
-#[derive(Debug, Clone)]
-struct FrontierEntry {
-    /// Graph epoch the frontier was recorded under; any mismatch (an edge
-    /// was removed since) invalidates the entry.
-    epoch: u64,
-    /// Graph revision at record time; reuse requires `revision' >= this`
-    /// (the formula can only have been strengthened since).
-    revision: u64,
-    /// Boxes covering everything the recorded run did not refute. Empty
-    /// means the recorded run *proved* Unsat.
-    boxes: Vec<BoxDomain>,
-}
-
 /// Counters describing cache effectiveness (telemetry only — the cache
 /// never changes outcomes).
 #[derive(Debug, Clone, Copy, Default)]
@@ -169,22 +124,13 @@ pub struct CacheStats {
     pub cache_hits: usize,
     /// Queries that ran the solver because no memo entry matched.
     pub cache_misses: usize,
-    /// Unsat-like answers produced by warm-started frontier refutation.
-    pub warm_unsat: usize,
-    /// Frontier boxes successfully carried (re-verified refuted) into a
-    /// later query.
-    pub boxes_carried: usize,
-    /// Warm-start attempts that fell back cold: a stale entry, or a
-    /// frontier box the strengthened formula could not refute.
-    pub warm_fallbacks: usize,
 }
 
-/// Cross-query cache: exact memoization plus per-site warm-start frontiers.
+/// Cross-query cache: exact memoization.
 #[derive(Debug, Default)]
 pub struct SolverCache {
     memo: HashMap<u64, Vec<(QueryKey, MemoEntry)>>,
     memo_len: usize,
-    frontiers: HashMap<u64, FrontierEntry>,
     /// Effectiveness counters.
     pub stats: CacheStats,
 }
@@ -200,12 +146,6 @@ impl SolverCache {
     #[must_use]
     pub fn memo_len(&self) -> usize {
         self.memo_len
-    }
-
-    /// Number of stored warm-start frontiers.
-    #[must_use]
-    pub fn frontier_len(&self) -> usize {
-        self.frontiers.len()
     }
 
     /// Replay a recorded invocation if `key` matches one exactly.
@@ -239,109 +179,17 @@ impl SolverCache {
         self.memo_len += 1;
     }
 
-    /// Store the frontier of an unsat-like run for `site`, tagged with the
-    /// preference graph's `(epoch, revision)` at solve time. Oversized
-    /// frontiers are discarded (re-verification would not pay).
-    pub fn store_frontier(&mut self, site: u64, epoch: u64, revision: u64, boxes: Vec<BoxDomain>) {
-        if boxes.len() > FRONTIER_BOX_CAP {
-            return;
-        }
-        self.frontiers.insert(site, FrontierEntry { epoch, revision, boxes });
-    }
-
-    /// Attempt the warm-started Unsat shortcut for `site` against the new
-    /// formula `f`, under the current graph `(epoch, revision)`.
-    ///
-    /// Returns `true` — meaning `f` is **Unsat** over the recorded domain —
-    /// only when a valid frontier exists (same epoch, recorded revision ≤
-    /// current) and interval evaluation refutes `f` on every carried box
-    /// (trivially so for an empty frontier, which is a carried Unsat
-    /// proof). Soundness additionally needs the caller's contract: `f`
-    /// entails the formula the frontier was recorded from, over the same
-    /// domain. Returns `false` on any doubt — caller must solve cold.
-    pub fn try_warm_unsat(&mut self, site: u64, epoch: u64, revision: u64, f: &Formula) -> bool {
-        let q = CompiledQuery::prepare(f, None, false);
-        self.try_warm_unsat_compiled(site, epoch, revision, &q)
-    }
-
-    /// [`SolverCache::try_warm_unsat`] for a query the caller already
-    /// compiled (see [`CompiledQuery::prepare`]). With a tape, frontier
-    /// boxes are refuted in batched passes of [`WARM_CHUNK`] — the
-    /// refutation decision is bit-identical to the tree walker's, provided
-    /// the carried boxes lie inside the box the tape was prepared over
-    /// (they do: the engine's query domain is fixed per site).
-    pub fn try_warm_unsat_compiled(
-        &mut self,
-        site: u64,
-        epoch: u64,
-        revision: u64,
-        q: &CompiledQuery,
-    ) -> bool {
-        let Some(entry) = self.frontiers.get(&site) else {
-            return false;
-        };
-        if entry.epoch != epoch || entry.revision > revision {
-            self.stats.warm_fallbacks += 1;
-            self.frontiers.remove(&site);
-            return false;
-        }
-        if matches!(q.simplified, Formula::True) && !entry.boxes.is_empty() {
-            self.stats.warm_fallbacks += 1;
-            return false;
-        }
-        let refuted_everywhere = match &q.tape {
-            Some(tape) if !matches!(q.simplified, Formula::False) => {
-                let cis: Vec<u32> = (0..tape.conjunct_count() as u32).collect();
-                let mut scratch = TapeScratch::new();
-                let mut out = Vec::new();
-                entry.boxes.chunks(WARM_CHUNK).all(|chunk| {
-                    let refs: Vec<&BoxDomain> = chunk.iter().collect();
-                    tape.verdicts(&refs, &cis, &mut scratch, &mut out);
-                    out.chunks(cis.len()).all(|row| row.contains(&Tri::False))
-                })
-            }
-            _ => entry.boxes.iter().all(|dom| refutes_conjuncts(&q.simplified, &q.conjuncts, dom)),
-        };
-        if !refuted_everywhere {
-            self.stats.warm_fallbacks += 1;
-            return false;
-        }
-        self.stats.warm_unsat += 1;
-        self.stats.boxes_carried += entry.boxes.len();
-        true
-    }
-
-    /// Drop every stored frontier (used when the graph weakens and the
-    /// caller cannot prove the weakening was semantics-preserving).
-    pub fn clear_frontiers(&mut self) {
-        self.frontiers.clear();
-    }
-
     /// Decompose the cache into plain data for serialization. The output
     /// order is deterministic — memo entries sorted by key fingerprint
-    /// (bucket insertion order within a fingerprint), frontiers sorted by
-    /// site — so serializing the same cache twice yields the same bytes
-    /// regardless of `HashMap` iteration order.
+    /// (bucket insertion order within a fingerprint) — so serializing the
+    /// same cache twice yields the same bytes regardless of `HashMap`
+    /// iteration order.
     #[must_use]
     pub fn export(&self) -> CacheExport {
         let mut hashes: Vec<u64> = self.memo.keys().copied().collect();
         hashes.sort_unstable();
         let memo = hashes.iter().flat_map(|h| self.memo[h].iter().cloned()).collect();
-        let mut sites: Vec<u64> = self.frontiers.keys().copied().collect();
-        sites.sort_unstable();
-        let frontiers = sites
-            .iter()
-            .map(|&site| {
-                let e = &self.frontiers[&site];
-                FrontierExport {
-                    site,
-                    epoch: e.epoch,
-                    revision: e.revision,
-                    boxes: e.boxes.clone(),
-                }
-            })
-            .collect();
-        CacheExport { memo, frontiers, stats: self.stats }
+        CacheExport { memo, stats: self.stats }
     }
 
     /// Rebuild a cache from [`SolverCache::export`] output. Entries are
@@ -352,9 +200,6 @@ impl SolverCache {
         let mut cache = SolverCache::new();
         for (key, entry) in export.memo {
             cache.record(key, entry.outcome, entry.sat_from_seeding);
-        }
-        for f in export.frontiers {
-            cache.store_frontier(f.site, f.epoch, f.revision, f.boxes);
         }
         cache.stats = export.stats;
         cache
@@ -367,42 +212,8 @@ impl SolverCache {
 pub struct CacheExport {
     /// Memoized invocations, sorted by key fingerprint.
     pub memo: Vec<(QueryKey, MemoEntry)>,
-    /// Warm-start frontiers, sorted by site.
-    pub frontiers: Vec<FrontierExport>,
     /// Effectiveness counters at export time.
     pub stats: CacheStats,
-}
-
-/// One exported warm-start frontier.
-#[derive(Debug, Clone)]
-pub struct FrontierExport {
-    /// Query-site fingerprint the frontier belongs to.
-    pub site: u64,
-    /// Graph epoch the frontier was recorded under.
-    pub epoch: u64,
-    /// Graph revision at record time.
-    pub revision: u64,
-    /// Boxes covering everything the recorded run did not refute.
-    pub boxes: Vec<BoxDomain>,
-}
-
-/// Sound interval refutation of `f` over `dom`: `true` only if no point of
-/// `dom` can satisfy `f`. Simplifies, then refutes any single conjunct.
-#[must_use]
-pub fn refutes(f: &Formula, dom: &BoxDomain) -> bool {
-    let simplified = simplify_formula(f);
-    let conjuncts = simplified.conjuncts();
-    refutes_conjuncts(&simplified, &conjuncts, dom)
-}
-
-fn refutes_conjuncts(simplified: &Formula, conjuncts: &[Formula], dom: &BoxDomain) -> bool {
-    if matches!(simplified, Formula::False) {
-        return true;
-    }
-    if conjuncts.is_empty() {
-        return false;
-    }
-    conjuncts.iter().any(|c| ieval_formula(c, dom) == Tri::False)
 }
 
 #[cfg(test)]
@@ -465,96 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_unsat_requires_refuting_every_box() {
-        let (d, x, y) = setup();
-        // Frontier: two boxes. New formula refutes only one of them.
-        let mut lo = d.clone();
-        lo.set(x, Interval::new(0.0, 1.0));
-        let mut hi = d.clone();
-        hi.set(x, Interval::new(9.0, 10.0));
-        let mut cache = SolverCache::new();
-        cache.store_frontier(1, 0, 3, vec![lo.clone(), hi.clone()]);
-
-        // x >= 2 refutes `lo` but not `hi`: must fall back.
-        let partial = Term::var(x).ge(Term::int(2));
-        assert!(!cache.try_warm_unsat(1, 0, 5, &partial));
-        assert_eq!(cache.stats.warm_fallbacks, 1);
-
-        // x + y >= 25 refutes both boxes: warm Unsat.
-        let full = Term::var(x).add(Term::var(y)).ge(Term::int(25));
-        assert!(cache.try_warm_unsat(1, 0, 5, &full));
-        assert_eq!(cache.stats.warm_unsat, 1);
-        assert_eq!(cache.stats.boxes_carried, 2);
-    }
-
-    #[test]
-    fn warm_unsat_respects_epoch_and_revision() {
-        let (d, x, _) = setup();
-        let f = Term::var(x).ge(Term::int(25));
-        let mut cache = SolverCache::new();
-        cache.store_frontier(1, 0, 3, vec![d.clone()]);
-        // Older revision than recorded: formula may be weaker → no reuse.
-        assert!(!cache.try_warm_unsat(1, 0, 2, &f));
-        // Entry was dropped by the failed validation; re-store.
-        cache.store_frontier(1, 0, 3, vec![d.clone()]);
-        // Epoch mismatch (an edge was removed): no reuse, entry dropped.
-        assert!(!cache.try_warm_unsat(1, 1, 9, &f));
-        assert_eq!(cache.frontier_len(), 0);
-        // Valid: same epoch, newer revision, refutable formula.
-        cache.store_frontier(1, 0, 3, vec![d.clone()]);
-        assert!(cache.try_warm_unsat(1, 0, 3, &f));
-    }
-
-    #[test]
-    fn warm_unsat_compiled_matches_tree_path() {
-        let (d, x, y) = setup();
-        let mut lo = d.clone();
-        lo.set(x, Interval::new(0.0, 1.0));
-        let mut hi = d.clone();
-        hi.set(x, Interval::new(9.0, 10.0));
-        // `full` refutes both carried boxes (and is even decided over the
-        // whole seed domain, exercising the tape's cached-verdict replay);
-        // `partial` refutes only `lo`, so both paths must fall back.
-        let full = Term::var(x).add(Term::var(y)).ge(Term::int(25));
-        let partial = Term::var(x).ge(Term::int(2));
-        for (f, expect) in [(full, true), (partial, false)] {
-            let q = CompiledQuery::prepare(&f, Some(&d), true);
-            assert!(q.tape.is_some());
-            let mut compiled = SolverCache::new();
-            compiled.store_frontier(1, 0, 3, vec![lo.clone(), hi.clone()]);
-            assert_eq!(compiled.try_warm_unsat_compiled(1, 0, 5, &q), expect);
-            let mut tree = SolverCache::new();
-            tree.store_frontier(1, 0, 3, vec![lo.clone(), hi.clone()]);
-            assert_eq!(tree.try_warm_unsat(1, 0, 5, &f), expect);
-            assert_eq!(compiled.stats.warm_unsat, tree.stats.warm_unsat);
-            assert_eq!(compiled.stats.warm_fallbacks, tree.stats.warm_fallbacks);
-            assert_eq!(compiled.stats.boxes_carried, tree.stats.boxes_carried);
-        }
-    }
-
-    #[test]
-    fn empty_frontier_is_a_carried_unsat_proof() {
-        let (_, x, _) = setup();
-        let mut cache = SolverCache::new();
-        cache.store_frontier(9, 2, 4, vec![]);
-        // Even a satisfiable-looking formula is Unsat here by contract:
-        // the recorded run proved Unsat and the new formula is stronger.
-        assert!(cache.try_warm_unsat(9, 2, 4, &Term::var(x).ge(Term::int(0))));
-    }
-
-    #[test]
-    fn refutes_is_sound_on_obvious_cases() {
-        let (d, x, y) = setup();
-        assert!(refutes(&Term::var(x).add(Term::var(y)).gt(Term::int(25)), &d));
-        assert!(!refutes(&Term::var(x).ge(Term::int(5)), &d));
-        assert!(refutes(&Formula::False, &d));
-        assert!(!refutes(&Formula::True, &d));
-        // A satisfiable conjunction is never refuted.
-        let f = Formula::and(vec![Term::var(x).ge(Term::int(1)), Term::var(y).le(Term::int(9))]);
-        assert!(!refutes(&f, &d));
-    }
-
-    #[test]
     fn export_import_roundtrip_preserves_behavior() {
         let (d, x, y) = setup();
         let f = Term::var(x).ge(Term::int(5));
@@ -562,22 +283,17 @@ mod tests {
         let mut cache = SolverCache::new();
         cache.record(key(f.clone(), &d, 7), Outcome::Unsat, false);
         cache.record(key(g.clone(), &d, 9), Outcome::DeltaUnsat, true);
-        cache.store_frontier(4, 1, 2, vec![d.clone()]);
-        cache.store_frontier(2, 0, 5, vec![]);
         let _ = cache.lookup(&key(f.clone(), &d, 7)); // bump stats
         let export = cache.export();
         assert_eq!(export.memo.len(), 2);
-        assert_eq!(export.frontiers.len(), 2);
-        // Frontiers come back sorted by site.
-        assert_eq!(export.frontiers[0].site, 2);
-        assert_eq!(export.frontiers[1].site, 4);
         let mut back = SolverCache::import(export.clone());
         assert_eq!(back.memo_len(), 2);
-        assert_eq!(back.frontier_len(), 2);
         assert_eq!(back.stats.cache_hits, cache.stats.cache_hits);
         let hit = back.lookup(&key(f, &d, 7)).expect("memo survives round trip");
         assert_eq!(hit.outcome, Outcome::Unsat);
-        assert!(back.try_warm_unsat(2, 0, 5, &g), "empty frontier survives round trip");
+        let hit = back.lookup(&key(g, &d, 9)).expect("memo survives round trip");
+        assert_eq!(hit.outcome, Outcome::DeltaUnsat);
+        assert!(hit.sat_from_seeding);
         // Exporting the rebuilt cache reproduces the same ordering.
         let again = SolverCache::import(export.clone()).export();
         assert_eq!(again.memo.len(), export.memo.len());

@@ -59,7 +59,7 @@ pub mod tape;
 pub mod term;
 pub mod vars;
 
-pub use cache::{CacheExport, CacheStats, FrontierExport, MemoEntry, QueryKey, SolverCache};
+pub use cache::{CacheExport, CacheStats, MemoEntry, QueryKey, SolverCache};
 pub use model::Model;
 pub use tape::{CompiledQuery, ExactScratch, Tape, TapeScratch, TapeStats};
 pub use term::{CmpOp, Formula, Term};

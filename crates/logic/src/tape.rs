@@ -923,8 +923,7 @@ impl Tape {
 
 /// A solver query compiled once: the simplified formula, its conjuncts,
 /// and (when tape evaluation is on) the compiled tape — prepared by the
-/// caller so the solver, the exact certifier, and the cache's warm-start
-/// refutation all share one compilation.
+/// caller so the solver and the exact certifier share one compilation.
 #[derive(Debug)]
 pub struct CompiledQuery {
     /// `simplify_formula` of the original query.

@@ -163,8 +163,8 @@ impl<S> PrefGraph<S> {
     }
 
     /// Weakening counter: bumped by [`Self::remove_edge`], which can grow
-    /// the solution set. Any derived state (carried solver frontiers,
-    /// compiled formulas) keyed to an older epoch is invalid.
+    /// the solution set. Any derived state (compiled formulas) keyed to an
+    /// older epoch is invalid.
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch

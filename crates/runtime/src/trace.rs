@@ -27,9 +27,7 @@
 //!
 //! * `CSO_TRACE=jsonl:<path>` — append machine-readable JSONL to `<path>`;
 //! * `CSO_TRACE=pretty` — indented human-readable lines on stderr;
-//! * `CSO_TRACE=off` (or empty/unset) — disabled, unless the legacy
-//!   `CSO_SYNTH_TRACE` is set (to anything but `0`), which maps to
-//!   `pretty` for backwards compatibility.
+//! * `CSO_TRACE=off` (or empty/unset) — disabled.
 //!
 //! # Event schema (JSONL)
 //!
@@ -173,8 +171,8 @@ thread_local! {
 
 /// `true` when a sink is installed. This is the hot-path check every probe
 /// performs; in the steady state (on or off) it is one relaxed atomic
-/// load. The first call with no programmatic sink reads `CSO_TRACE` /
-/// `CSO_SYNTH_TRACE` once and installs the matching sink.
+/// load. The first call with no programmatic sink reads `CSO_TRACE` once
+/// and installs the matching sink.
 #[inline]
 pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
@@ -217,30 +215,22 @@ enum Mode {
 }
 
 /// Pure decision function for the environment wiring (unit-testable
-/// without touching the process environment). `CSO_TRACE` wins; the
-/// legacy `CSO_SYNTH_TRACE` (set to anything but `0` or empty) maps to
-/// the pretty printer.
-fn mode_from(cso_trace: Option<&str>, legacy_synth_trace: Option<&str>) -> Mode {
+/// without touching the process environment).
+fn mode_from(cso_trace: Option<&str>) -> Mode {
     match cso_trace.map(str::trim) {
-        Some("") | None => {}
-        Some("off" | "0" | "none") => return Mode::Off,
-        Some("pretty") => return Mode::Pretty,
-        Some(s) if s.starts_with("jsonl:") => return Mode::Jsonl(s["jsonl:".len()..].to_owned()),
+        Some("" | "off" | "0" | "none") | None => Mode::Off,
+        Some("pretty") => Mode::Pretty,
+        Some(s) if s.starts_with("jsonl:") => Mode::Jsonl(s["jsonl:".len()..].to_owned()),
         Some(other) => {
             eprintln!("[trace] unrecognized CSO_TRACE value {other:?}; tracing stays off");
-            return Mode::Off;
+            Mode::Off
         }
-    }
-    match legacy_synth_trace.map(str::trim) {
-        Some("") | Some("0") | None => Mode::Off,
-        Some(_) => Mode::Pretty,
     }
 }
 
 fn init_from_env() {
     let cso_trace = std::env::var("CSO_TRACE").ok();
-    let legacy = std::env::var("CSO_SYNTH_TRACE").ok();
-    match mode_from(cso_trace.as_deref(), legacy.as_deref()) {
+    match mode_from(cso_trace.as_deref()) {
         Mode::Off => STATE.store(ST_OFF, Ordering::SeqCst),
         Mode::Pretty => install(Arc::new(PrettySink::new())),
         Mode::Jsonl(path) => match JsonlSink::create(&path) {
@@ -750,8 +740,7 @@ impl Sink for JsonlSink {
 }
 
 /// Human-readable stderr sink: spans render as indented `>`/`<` lines,
-/// counters as `.` lines, and messages as the legacy `[scope] text`
-/// lines (so `CSO_SYNTH_TRACE` output looks as it always did).
+/// counters as `.` lines, and messages as `[scope] text` lines.
 pub struct PrettySink {
     depth: Mutex<HashMap<u32, usize>>,
 }
@@ -957,21 +946,16 @@ mod tests {
 
     #[test]
     fn env_mode_decision_table() {
-        assert!(matches!(mode_from(None, None), Mode::Off));
-        assert!(matches!(mode_from(Some(""), None), Mode::Off));
-        assert!(matches!(mode_from(Some("off"), Some("1")), Mode::Off));
-        assert!(matches!(mode_from(Some("pretty"), None), Mode::Pretty));
-        assert!(matches!(mode_from(Some("bogus"), Some("1")), Mode::Off));
-        match mode_from(Some("jsonl:/tmp/x.jsonl"), None) {
+        assert!(matches!(mode_from(None), Mode::Off));
+        assert!(matches!(mode_from(Some("")), Mode::Off));
+        assert!(matches!(mode_from(Some("off")), Mode::Off));
+        assert!(matches!(mode_from(Some(" 0 ")), Mode::Off));
+        assert!(matches!(mode_from(Some("pretty")), Mode::Pretty));
+        assert!(matches!(mode_from(Some("bogus")), Mode::Off));
+        match mode_from(Some("jsonl:/tmp/x.jsonl")) {
             Mode::Jsonl(p) => assert_eq!(p, "/tmp/x.jsonl"),
             _ => panic!("expected jsonl mode"),
         }
-        // The legacy variable alone maps to the pretty printer...
-        assert!(matches!(mode_from(None, Some("1")), Mode::Pretty));
-        assert!(matches!(mode_from(None, Some("yes")), Mode::Pretty));
-        // ...unless explicitly zeroed.
-        assert!(matches!(mode_from(None, Some("0")), Mode::Off));
-        assert!(matches!(mode_from(None, Some("")), Mode::Off));
     }
 
     #[test]
