@@ -111,9 +111,11 @@ grep -q "solver.bnp" "$GOLD/digest.txt"
 # Metrics are observational too: a metrics-enabled campaign must keep
 # table1.csv byte-identical, and the exposition's seed-driven lines
 # (counter `_total`s and histogram `_count`s) must match across two
-# same-seed runs. (`_sum` and quantile lines carry wall-clock time and
-# legitimately vary — they are filtered out before the diff.)
-echo "==> table1.csv golden diff (CSO_METRICS on) + exposition determinism"
+# same-seed runs and the committed golden, which pins every solver and
+# cache count the accounting record publishes. (`_sum` and quantile
+# lines carry wall-clock time and legitimately vary — they are filtered
+# out before the diff.)
+echo "==> table1.csv golden diff (CSO_METRICS on) + exposition determinism and golden"
 CSO_METRICS="expo:$GOLD/metrics_a.prom" cargo run -q --release --offline -p cso-bench --bin repro -- \
     table1 --csv "$GOLD/metered" >/dev/null
 diff "$GOLD/warm/table1.csv" "$GOLD/metered/table1.csv"
@@ -122,13 +124,14 @@ CSO_METRICS="expo:$GOLD/metrics_b.prom" cargo run -q --release --offline -p cso-
 grep -E '(_total|_count) ' "$GOLD/metrics_a.prom" > "$GOLD/det_a.txt"
 grep -E '(_total|_count) ' "$GOLD/metrics_b.prom" > "$GOLD/det_b.txt"
 diff "$GOLD/det_a.txt" "$GOLD/det_b.txt"
+diff results/table1_metrics.txt "$GOLD/det_a.txt"
 grep -q '^cso_solver_queries_total ' "$GOLD/metrics_a.prom"
 grep -q '^cso_engine_oracle_calls_total ' "$GOLD/metrics_a.prom"
 
 # Flame smoke: folding the traced campaign's JSONL must yield non-empty
 # collapsed stacks with branch-and-prune attributed under an engine
-# iteration (the same reconciliation metrics_equivalence.rs proves
-# exactly on a single run).
+# iteration (the same reconciliation crates/core/tests/observability.rs
+# proves exactly on a single run).
 echo "==> trace-digest --flame smoke"
 cargo run -q --release --offline -p cso-bench --bin trace-digest -- --flame "$GOLD/trace.jsonl" \
     > "$GOLD/flame.txt"

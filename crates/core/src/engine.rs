@@ -4,7 +4,7 @@ use crate::config::{LintPolicy, SynthConfig};
 use crate::oracle::{Oracle, Ranking};
 use crate::query::QueryBuilder;
 use crate::scenario::{MetricSpace, Scenario};
-use crate::stats::{IterationRecord, SolverTelemetry, SynthStats};
+use crate::stats::{IterationRecord, SolverTelemetry, SynthStats, Tally};
 use cso_analysis::{analyze, AnalysisConfig, Report};
 use cso_logic::cache::{QueryKey, SolverCache};
 use cso_logic::solver::{Outcome, Solver, SolverConfig};
@@ -425,16 +425,10 @@ impl Synthesizer {
             delta: sc.delta,
             delta_per_dim: sc.delta_per_dim.clone(),
         });
-        if let Some(k) = &key {
-            let cache = self.cache.as_mut().expect("key implies cache");
-            if let Some(hit) = cache.lookup(k) {
-                synth_msg(format_args!("  solver call replayed from memo (site {site})"));
-                trace::counter("cache.memo_hit", || vec![("site", Value::U64(site))]);
-                static MEMO_HITS: Counter = Counter::new("cso_engine_memo_hits_total");
-                MEMO_HITS.inc(1);
-                self.tally(&SolverTelemetry { cache_hits: 1, ..SolverTelemetry::default() });
-                return (hit.outcome, hit.sat_from_seeding);
-            }
+        let hit = key.as_ref().and_then(|k| self.cache.as_ref()?.lookup(k));
+        if let Some(hit) = hit {
+            self.tally(Tally::MemoHit(site));
+            return (hit.outcome, hit.sat_from_seeding);
         }
 
         // Seeded with the (fixed) query domain, so the tape's
@@ -442,7 +436,7 @@ impl Synthesizer {
         let q = CompiledQuery::prepare(f, Some(&domain), sc.tape);
         let mut solver = Solver::new(sc);
         let out = solver.solve_compiled(&q, &domain, seeds);
-        self.absorb_solver(&solver);
+        self.tally(Tally::Solve(&solver.stats, &out));
         let sat_from_seeding = solver.stats.sat_from_seeding;
         if let Some(k) = key {
             let cache = self.cache.as_mut().expect("key implies cache");
@@ -470,44 +464,13 @@ impl Synthesizer {
         (scaled as usize).clamp(MIN_BOX_BUDGET, MAX_BOX_BUDGET)
     }
 
-    /// Fold a telemetry delta into both the per-iteration and the per-run
-    /// aggregates — the single point keeping the two from drifting apart.
-    fn tally(&mut self, delta: &SolverTelemetry) {
-        self.iter_solver.merge(delta);
-        self.stats.solver_totals.merge(delta);
-    }
-
-    /// Fold one finished solver query into the per-iteration and per-run
-    /// telemetry aggregates, mirroring it as a `solver.query` counter
-    /// event (phase times as whole nanoseconds, so
-    /// [`SolverTelemetry::from_events`] reconstructs them exactly).
-    fn absorb_solver(&mut self, solver: &Solver) {
-        let s = &solver.stats;
-        synth_msg(format_args!(
-            "  solver call: boxes={} seeding={:.4}s bnp={:.4}s",
-            s.boxes_processed,
-            s.seeding_time.as_secs_f64(),
-            s.bnp_time.as_secs_f64()
-        ));
-        trace::counter("solver.query", || {
-            vec![
-                ("boxes", Value::U64(s.boxes_processed as u64)),
-                ("pruned", Value::U64(s.boxes_pruned as u64)),
-                ("residual", Value::U64(s.residual_boxes as u64)),
-                ("samples", Value::U64(s.samples_tried as u64)),
-                ("eval_errors", Value::U64(s.eval_errors as u64)),
-                ("workers", Value::U64(s.workers as u64)),
-                ("from_seeding", Value::U64(u64::from(s.sat_from_seeding))),
-                (
-                    "seeding_ns",
-                    Value::U64(u64::try_from(s.seeding_time.as_nanos()).unwrap_or(u64::MAX)),
-                ),
-                ("bnp_ns", Value::U64(u64::try_from(s.bnp_time.as_nanos()).unwrap_or(u64::MAX))),
-            ]
-        });
-        let mut delta = SolverTelemetry::default();
-        delta.absorb(s);
-        self.tally(&delta);
+    /// The one accounting entry point: publish `event` to the trace and
+    /// metrics sinks ([`Tally::record`]) and fold its delta into both the
+    /// per-iteration and the per-run aggregates.
+    fn tally(&mut self, event: Tally<'_>) {
+        let delta = event.record();
+        self.iter_solver.merge(&delta);
+        self.stats.solver_totals.merge(&delta);
     }
 
     /// All coordinate-wise combinations of the hole vectors appearing in
@@ -1103,24 +1066,12 @@ impl Synthesizer {
         Ok(SynthResult { objective, outcome, stats: self.stats.clone() })
     }
 
-    /// Fold the query layer's clause-reuse counters into the current
-    /// iteration's telemetry and the run totals, mirroring them as a
-    /// `query.clauses` counter event.
+    /// Tally the query layer's clause-cache counters, if it has any.
     fn drain_clause_counters(&mut self) {
         let (reused, compiled) = self.qb.take_clause_counters();
         if reused > 0 || compiled > 0 {
-            trace::counter("query.clauses", || {
-                vec![
-                    ("reused", Value::U64(reused as u64)),
-                    ("compiled", Value::U64(compiled as u64)),
-                ]
-            });
-            static CLAUSES_REUSED: Counter = Counter::new("cso_engine_clauses_reused_total");
-            static CLAUSES_COMPILED: Counter = Counter::new("cso_engine_clauses_compiled_total");
-            CLAUSES_REUSED.inc(reused as u64);
-            CLAUSES_COMPILED.inc(compiled as u64);
+            self.tally(Tally::Clauses(reused, compiled));
         }
-        self.tally(&SolverTelemetry { clauses_reused: reused, ..SolverTelemetry::default() });
     }
 
     /// Ask the oracle to rank `scenarios`, timing the call under an

@@ -39,8 +39,7 @@ use crate::scenario::{MetricSpace, Scenario};
 use crate::stats::{IterationRecord, SolverTelemetry, SynthStats};
 use cso_logic::solver::{Outcome, SolverConfig};
 use cso_logic::{
-    BoxDomain, CacheExport, CacheStats, CmpOp, Formula, MemoEntry, Model, QueryKey, SolverCache,
-    Term, VarId,
+    BoxDomain, CacheExport, CmpOp, Formula, MemoEntry, Model, QueryKey, SolverCache, Term, VarId,
 };
 use cso_numeric::{Interval, Rat};
 use cso_prefgraph::{GraphParts, PrefEdge, PrefGraph, ScenarioId};
@@ -658,7 +657,7 @@ pub fn save(synth: &Synthesizer, session_id: u64) -> Result<Vec<u8>> {
     match &synth.cache {
         Some(cache) => {
             w.bool(true);
-            write_cache(&mut w, &cache.export());
+            write_cache(&mut w, &cache.export(), &synth.stats.solver_totals);
         }
         None => w.bool(false),
     }
@@ -807,7 +806,7 @@ fn write_state(w: &mut Writer, state: &EngineState) -> Result<()> {
     Ok(())
 }
 
-fn write_cache(w: &mut Writer, export: &CacheExport) {
+fn write_cache(w: &mut Writer, export: &CacheExport, totals: &SolverTelemetry) {
     w.usize(export.memo.len());
     for (key, entry) in &export.memo {
         w.formula_node(&key.formula);
@@ -832,8 +831,11 @@ fn write_cache(w: &mut Writer, export: &CacheExport) {
         w.outcome(&entry.outcome);
         w.bool(entry.sat_from_seeding);
     }
-    w.usize(export.stats.cache_hits);
-    w.usize(export.stats.cache_misses);
+    // The v3 layout ends with the memo's hit and miss counts. Every memo
+    // lookup is tallied by the engine — a hit as a memo hit, a miss as the
+    // physical solve that follows — so the run totals carry both.
+    w.usize(totals.cache_hits);
+    w.usize(totals.queries);
 }
 
 // ---------------------------------------------------------------------------
@@ -1137,8 +1139,10 @@ fn read_cache(r: &mut Reader<'_>) -> Result<CacheExport> {
             MemoEntry { outcome, sat_from_seeding },
         ));
     }
-    let stats = CacheStats { cache_hits: r.usize()?, cache_misses: r.usize()? };
-    Ok(CacheExport { memo, stats })
+    // Hit and miss counts: the restored run totals already carry them.
+    r.usize()?;
+    r.usize()?;
+    Ok(CacheExport { memo })
 }
 
 #[cfg(test)]

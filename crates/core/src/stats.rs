@@ -3,9 +3,16 @@
 //! Table 1 reports average, median and SIQR (semi-interquartile range) of
 //! the iteration count, per-iteration synthesis time and total synthesis
 //! time over nine runs; [`RunSummary`] computes exactly those.
+//!
+//! Solver and cache accounting has one path: the engine describes each
+//! solve, memo hit and clause drain as a [`Tally`], whose
+//! [`SolverTelemetry`] delta is both what the engine aggregates and what
+//! [`Tally::record`] publishes as trace counters and metrics, through
+//! the one name table [`ROUTES`].
 
-use cso_logic::solver::SolverStats;
-use cso_runtime::trace::{Event, Kind};
+use cso_logic::solver::{Outcome, SolverStats};
+use cso_runtime::metrics::{self, Counter, Histogram};
+use cso_runtime::trace::{self, Event, Kind, Value};
 use std::time::Duration;
 
 /// Aggregated δ-solver telemetry, summed over some window of solver
@@ -95,39 +102,181 @@ impl SolverTelemetry {
         self.cache_hits += cache_hits;
         self.clauses_reused += clauses_reused;
     }
+}
 
-    /// Reconstruct an aggregate from a trace event stream — the bridge
-    /// that keeps counters and traces from ever disagreeing. Folds the
-    /// counter events the engine emits (`solver.query`, `cache.memo_hit`,
-    /// `query.clauses`); phase times travel as whole nanoseconds, so the
-    /// reconstruction is exact, not approximate.
+/// One accounting event of the engine. [`Tally::record`] turns it into
+/// the [`SolverTelemetry`] delta the engine aggregates, and folds that
+/// same delta into the trace and metrics sinks.
+#[derive(Debug, Clone, Copy)]
+pub enum Tally<'a> {
+    /// A physical solver run and its outcome.
+    Solve(&'a SolverStats, &'a Outcome),
+    /// A query replayed from the memo, with the engine call site.
+    MemoHit(u64),
+    /// Clause-cache counters drained from the query layer: reused, compiled.
+    Clauses(usize, usize),
+}
+
+/// The metric a [`Route`] adds its count to.
+pub enum Probe {
+    /// A counter, incremented by the count.
+    Counter(Counter),
+    /// A histogram observing each event's count; its sum is the total.
+    Histogram(Histogram),
+}
+
+/// Reads one additive count from a record.
+pub type Count = fn(&SolverTelemetry) -> u64;
+
+/// Where both folds publish one additive count of [`SolverTelemetry`].
+pub struct Route {
+    /// The trace counter event carrying the count.
+    pub event: &'static str,
+    /// The event's field holding the count; `None` counts the events.
+    pub field: Option<&'static str>,
+    /// The metric the count is added to.
+    pub metric: Probe,
+    /// Reads the count from a record.
+    pub count: Count,
+}
+
+impl Route {
+    /// The metric name.
     #[must_use]
-    pub fn from_events(events: &[Event]) -> SolverTelemetry {
-        let mut t = SolverTelemetry::default();
-        for e in events {
-            if e.kind != Kind::Counter {
-                continue;
+    pub fn metric_name(&self) -> &'static str {
+        match &self.metric {
+            Probe::Counter(c) => c.name(),
+            Probe::Histogram(h) => h.name(),
+        }
+    }
+
+    /// The count's total over a trace stream.
+    #[must_use]
+    pub fn trace_total(&self, events: &[Event]) -> u64 {
+        events
+            .iter()
+            .filter(|e| e.kind == Kind::Counter && e.name == self.event)
+            .map(|e| self.field.map_or(1, |f| e.field_u64(f).unwrap_or(0)))
+            .sum()
+    }
+
+    /// The count's total in a metrics snapshot (for a histogram, its sum).
+    #[must_use]
+    pub fn metric_total(&self, snap: &metrics::Snapshot) -> u64 {
+        match &self.metric {
+            Probe::Counter(c) => snap.counters.get(c.name()).copied().unwrap_or(0),
+            Probe::Histogram(h) => snap.histograms.get(h.name()).map_or(0, |h| h.sum()),
+        }
+    }
+}
+
+const SOLVE: &str = "solver.query";
+const MEMO_HIT: &str = "cache.memo_hit";
+const CLAUSES: &str = "query.clauses";
+
+const fn counter(
+    event: &'static str,
+    field: Option<&'static str>,
+    name: &'static str,
+    count: Count,
+) -> Route {
+    Route { event, field, metric: Probe::Counter(Counter::new(name)), count }
+}
+
+const fn histogram(field: &'static str, name: &'static str, count: Count) -> Route {
+    Route {
+        event: SOLVE,
+        field: Some(field),
+        metric: Probe::Histogram(Histogram::new(name)),
+        count,
+    }
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The shared name table: every additive count of the record, with the
+/// trace field and the metric it is published as. Over any run, a
+/// route's [`Route::trace_total`] and [`Route::metric_total`] both equal
+/// its count of the run's totals.
+pub static ROUTES: [Route; 10] = [
+    counter(SOLVE, None, "cso_solver_queries_total", |t| t.queries as u64),
+    counter(SOLVE, Some("boxes"), "cso_solver_boxes_total", |t| t.boxes_explored as u64),
+    counter(SOLVE, Some("pruned"), "cso_solver_boxes_pruned_total", |t| t.boxes_pruned as u64),
+    counter(SOLVE, Some("residual"), "cso_solver_residual_boxes_total", |t| {
+        t.residual_boxes as u64
+    }),
+    counter(SOLVE, Some("samples"), "cso_solver_samples_total", |t| t.samples_tried as u64),
+    counter(SOLVE, Some("eval_errors"), "cso_solver_eval_errors_total", |t| t.eval_errors as u64),
+    histogram("seeding_ns", "cso_solver_seeding_ns", |t| nanos(t.seeding_time)),
+    histogram("bnp_ns", "cso_solver_bnp_ns", |t| nanos(t.bnp_time)),
+    counter(MEMO_HIT, None, "cso_engine_memo_hits_total", |t| t.cache_hits as u64),
+    counter(CLAUSES, Some("reused"), "cso_engine_clauses_reused_total", |t| {
+        t.clauses_reused as u64
+    }),
+];
+
+impl Tally<'_> {
+    /// Publish the event as one trace counter and its metrics, and return
+    /// its record delta. The routed counts are read from the delta through
+    /// [`ROUTES`]; what the record does not carry (outcome, worker count,
+    /// seeding flag, call site, compiled clauses) is published beside
+    /// them. A metric moves only on an event that routes to it. Disabled,
+    /// each sink costs one relaxed load.
+    pub fn record(&self) -> SolverTelemetry {
+        static SAT: Counter = Counter::new("cso_solver_sat_total");
+        static UNSAT: Counter = Counter::new("cso_solver_unsat_total");
+        static DELTA_UNSAT: Counter = Counter::new("cso_solver_delta_unsat_total");
+        static EXHAUSTED: Counter = Counter::new("cso_solver_exhausted_total");
+        static COMPILED: Counter = Counter::new("cso_engine_clauses_compiled_total");
+        let mut delta = SolverTelemetry::default();
+        match *self {
+            Tally::Solve(s, _) => delta.absorb(s),
+            Tally::MemoHit(_) => delta.cache_hits = 1,
+            Tally::Clauses(reused, _) => delta.clauses_reused = reused,
+        }
+        let event = match self {
+            Tally::Solve(..) => SOLVE,
+            Tally::MemoHit(_) => MEMO_HIT,
+            Tally::Clauses(..) => CLAUSES,
+        };
+        let routes = || ROUTES.iter().filter(move |r| r.event == event);
+        trace::counter(event, || {
+            let mut fields: Vec<(&'static str, Value)> =
+                routes().filter_map(|r| Some((r.field?, Value::U64((r.count)(&delta))))).collect();
+            match *self {
+                Tally::Solve(s, _) => fields.extend([
+                    ("workers", Value::U64(s.workers as u64)),
+                    ("from_seeding", Value::U64(u64::from(s.sat_from_seeding))),
+                ]),
+                Tally::MemoHit(site) => fields.push(("site", Value::U64(site))),
+                Tally::Clauses(_, compiled) => {
+                    fields.push(("compiled", Value::U64(compiled as u64)))
+                }
             }
-            match e.name.as_str() {
-                "solver.query" => {
-                    t.queries += 1;
-                    t.boxes_explored += e.field_u64("boxes").unwrap_or(0) as usize;
-                    t.boxes_pruned += e.field_u64("pruned").unwrap_or(0) as usize;
-                    t.residual_boxes += e.field_u64("residual").unwrap_or(0) as usize;
-                    t.samples_tried += e.field_u64("samples").unwrap_or(0) as usize;
-                    t.eval_errors += e.field_u64("eval_errors").unwrap_or(0) as usize;
-                    t.seeding_time += Duration::from_nanos(e.field_u64("seeding_ns").unwrap_or(0));
-                    t.bnp_time += Duration::from_nanos(e.field_u64("bnp_ns").unwrap_or(0));
-                    t.max_workers = t.max_workers.max(e.field_u64("workers").unwrap_or(0) as usize);
+            fields
+        });
+        if metrics::enabled() {
+            for r in routes() {
+                match &r.metric {
+                    Probe::Counter(c) => c.inc((r.count)(&delta)),
+                    Probe::Histogram(h) => h.observe((r.count)(&delta)),
                 }
-                "cache.memo_hit" => t.cache_hits += 1,
-                "query.clauses" => {
-                    t.clauses_reused += e.field_u64("reused").unwrap_or(0) as usize;
+            }
+            match *self {
+                Tally::Solve(_, out) => match out {
+                    Outcome::Sat(_) => &SAT,
+                    Outcome::Unsat => &UNSAT,
+                    Outcome::DeltaUnsat => &DELTA_UNSAT,
+                    Outcome::Exhausted => &EXHAUSTED,
                 }
-                _ => {}
+                .inc(1),
+                Tally::MemoHit(_) => {}
+                Tally::Clauses(_, compiled) => COMPILED.inc(compiled as u64),
             }
         }
-        t
+        delta
     }
 }
 
@@ -250,6 +399,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn summary_of_constant_sample() {
@@ -294,20 +444,25 @@ mod tests {
         assert_eq!(s.median, 0.0);
     }
 
-    #[test]
-    fn telemetry_absorbs_solver_stats() {
-        let mut t = SolverTelemetry::default();
-        let mut s = SolverStats {
+    /// One solver query's statistics, every field nonzero.
+    fn sample_stats() -> SolverStats {
+        SolverStats {
             boxes_processed: 10,
             boxes_pruned: 4,
             residual_boxes: 1,
             samples_tried: 25,
             eval_errors: 3,
-            sat_from_seeding: false,
-            seeding_time: Duration::from_millis(3),
-            bnp_time: Duration::from_millis(7),
+            sat_from_seeding: true,
+            seeding_time: Duration::from_nanos(3_000_001),
+            bnp_time: Duration::from_nanos(7_000_002),
             workers: 4,
-        };
+        }
+    }
+
+    #[test]
+    fn telemetry_absorbs_solver_stats() {
+        let mut t = SolverTelemetry::default();
+        let mut s = sample_stats();
         t.absorb(&s);
         s.workers = 2;
         t.absorb(&s);
@@ -317,8 +472,8 @@ mod tests {
         assert_eq!(t.residual_boxes, 2);
         assert_eq!(t.samples_tried, 50);
         assert_eq!(t.eval_errors, 6);
-        assert_eq!(t.seeding_time, Duration::from_millis(6));
-        assert_eq!(t.bnp_time, Duration::from_millis(14));
+        assert_eq!(t.seeding_time, Duration::from_nanos(6_000_002));
+        assert_eq!(t.bnp_time, Duration::from_nanos(14_000_004));
         assert_eq!(t.max_workers, 4, "max, not last");
         // `absorb` records physical solver work only; the cache-layer
         // fields flow through `merge` and must stay untouched here.
@@ -364,60 +519,67 @@ mod tests {
         );
     }
 
-    /// The event-stream reconstruction agrees with direct aggregation:
-    /// one `solver.query` counter per physical solve, cache counters for
-    /// the cache paths, nanosecond-exact phase times.
+    /// The sink-level contract: a solve, a memo hit and a clause drain
+    /// publish exactly their record deltas, as trace fields and as metric
+    /// deltas, through the shared name table.
     #[test]
-    fn telemetry_from_events_reconstructs_counters() {
-        use cso_runtime::trace::Value;
-        let counter = |name: &str, fields: Vec<(&str, u64)>| Event {
-            kind: Kind::Counter,
-            name: name.to_owned(),
-            thread: 0,
-            worker: None,
-            session: None,
-            seq: 0,
-            wall_ns: 0,
-            dur_ns: None,
-            fields: fields.into_iter().map(|(k, v)| (k.to_owned(), Value::U64(v))).collect(),
+    fn tally_publishes_its_delta_to_trace_and_metrics() {
+        const SESSION: u64 = u64::MAX - 14;
+        let stats = sample_stats();
+        let events =
+            [Tally::Solve(&stats, &Outcome::Exhausted), Tally::MemoHit(3), Tally::Clauses(30, 5)];
+        let mut expect =
+            SolverTelemetry { cache_hits: 1, clauses_reused: 30, ..Default::default() };
+        expect.absorb(&stats);
+        let mut want: BTreeMap<String, u64> =
+            ROUTES.iter().map(|r| (r.metric_name().to_owned(), (r.count)(&expect))).collect();
+        for (k, v) in [("exhausted_total", 1), ("seeding_ns_count", 1), ("bnp_ns_count", 1)] {
+            want.insert(format!("cso_solver_{k}"), v);
+        }
+        want.insert("cso_engine_clauses_compiled_total".to_owned(), 5);
+
+        // The registry is process-wide and other tests in this binary run
+        // syntheses concurrently, so a window may catch their counts too:
+        // take the first clean window of a few (a wrong fold fails them
+        // all). The trace is filtered to this test's session, so it is
+        // exact in every window.
+        let was_on = metrics::enabled();
+        let sink = std::sync::Arc::new(trace::MemorySink::new());
+        let measure = || {
+            trace::install(sink.clone());
+            metrics::enable();
+            let before = metrics::snapshot();
+            let scope = trace::session_scope(SESSION);
+            let mut record = SolverTelemetry::default();
+            events.iter().for_each(|e| record.merge(&e.record()));
+            drop(scope);
+            let delta = metrics::snapshot().delta(&before);
+            let _ = trace::uninstall();
+            if !was_on {
+                metrics::disable();
+            }
+            let hists = delta.histograms.into_iter();
+            let moved: BTreeMap<String, u64> = (delta.counters.into_iter())
+                .chain(hists.flat_map(|(k, h)| [(format!("{k}_count"), h.count()), (k, h.sum())]))
+                .filter(|(_, v)| *v > 0)
+                .collect();
+            let mine: Vec<Event> =
+                sink.take().into_iter().filter(|e| e.session == Some(SESSION)).collect();
+            (record, moved, mine)
         };
-        let events = vec![
-            counter(
-                "solver.query",
-                vec![
-                    ("boxes", 10),
-                    ("pruned", 4),
-                    ("residual", 1),
-                    ("samples", 25),
-                    ("eval_errors", 2),
-                    ("workers", 4),
-                    ("seeding_ns", 3_000_001),
-                    ("bnp_ns", 7_000_002),
-                ],
-            ),
-            counter("cache.memo_hit", vec![("site", 2)]),
-            counter("cache.memo_hit", vec![("site", 3)]),
-            counter("query.clauses", vec![("reused", 30), ("compiled", 5)]),
-        ];
-        let t = SolverTelemetry::from_events(&events);
-        let mut expect = SolverTelemetry::default();
-        expect.absorb(&SolverStats {
-            boxes_processed: 10,
-            boxes_pruned: 4,
-            residual_boxes: 1,
-            samples_tried: 25,
-            eval_errors: 2,
-            sat_from_seeding: false,
-            seeding_time: Duration::from_nanos(3_000_001),
-            bnp_time: Duration::from_nanos(7_000_002),
-            workers: 4,
-        });
-        expect.merge(&SolverTelemetry {
-            cache_hits: 2,
-            clauses_reused: 30,
-            ..SolverTelemetry::default()
-        });
-        assert_eq!(t, expect);
+        let (record, moved, mine) =
+            (0..20).map(|_| measure()).find(|w| w.1 == want).unwrap_or_else(measure);
+        assert_eq!(record, expect, "the record is the sum of the deltas");
+        assert_eq!(moved, want, "metric deltas differ from the record");
+        for r in &ROUTES {
+            assert_eq!(r.trace_total(&mine), (r.count)(&record), "trace of {}", r.metric_name());
+        }
+        let extras =
+            [("workers", 0, 4), ("from_seeding", 0, 1), ("site", 1, 3), ("compiled", 2, 5)];
+        for (field, i, v) in extras {
+            assert_eq!(mine[i].field_u64(field), Some(v), "{field}");
+        }
+        assert_eq!(mine.iter().map(|e| e.fields.len()).collect::<Vec<_>>(), [9, 1, 2]);
     }
 
     #[test]

@@ -116,23 +116,11 @@ pub struct MemoEntry {
     pub sat_from_seeding: bool,
 }
 
-/// Counters describing cache effectiveness (telemetry only — the cache
-/// never changes outcomes).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheStats {
-    /// Queries answered by exact memo replay (no solver run).
-    pub cache_hits: usize,
-    /// Queries that ran the solver because no memo entry matched.
-    pub cache_misses: usize,
-}
-
 /// Cross-query cache: exact memoization.
 #[derive(Debug, Default)]
 pub struct SolverCache {
     memo: HashMap<u64, Vec<(QueryKey, MemoEntry)>>,
     memo_len: usize,
-    /// Effectiveness counters.
-    pub stats: CacheStats,
 }
 
 impl SolverCache {
@@ -148,20 +136,14 @@ impl SolverCache {
         self.memo_len
     }
 
-    /// Replay a recorded invocation if `key` matches one exactly.
-    /// Counts a hit or miss either way.
-    pub fn lookup(&mut self, key: &QueryKey) -> Option<MemoEntry> {
-        let hit = self
-            .memo
+    /// Replay a recorded invocation if `key` matches one exactly. Hits
+    /// are counted by the caller's accounting, not here.
+    #[must_use]
+    pub fn lookup(&self, key: &QueryKey) -> Option<MemoEntry> {
+        self.memo
             .get(&key.hash64())
             .and_then(|bucket| bucket.iter().find(|(k, _)| k.same_as(key)))
-            .map(|(_, e)| e.clone());
-        if hit.is_some() {
-            self.stats.cache_hits += 1;
-        } else {
-            self.stats.cache_misses += 1;
-        }
-        hit
+            .map(|(_, e)| e.clone())
     }
 
     /// Record an invocation for later replay. Duplicate keys keep the
@@ -189,7 +171,7 @@ impl SolverCache {
         let mut hashes: Vec<u64> = self.memo.keys().copied().collect();
         hashes.sort_unstable();
         let memo = hashes.iter().flat_map(|h| self.memo[h].iter().cloned()).collect();
-        CacheExport { memo, stats: self.stats }
+        CacheExport { memo }
     }
 
     /// Rebuild a cache from [`SolverCache::export`] output. Entries are
@@ -201,7 +183,6 @@ impl SolverCache {
         for (key, entry) in export.memo {
             cache.record(key, entry.outcome, entry.sat_from_seeding);
         }
-        cache.stats = export.stats;
         cache
     }
 }
@@ -212,8 +193,6 @@ impl SolverCache {
 pub struct CacheExport {
     /// Memoized invocations, sorted by key fingerprint.
     pub memo: Vec<(QueryKey, MemoEntry)>,
-    /// Effectiveness counters at export time.
-    pub stats: CacheStats,
 }
 
 #[cfg(test)]
@@ -259,8 +238,6 @@ mod tests {
         assert!(cache.lookup(&key(f.clone(), &d, 8)).is_none());
         // Different formula → miss.
         assert!(cache.lookup(&key(Term::var(x).ge(Term::int(6)), &d, 7)).is_none());
-        assert_eq!(cache.stats.cache_hits, 1);
-        assert_eq!(cache.stats.cache_misses, 3);
         assert_eq!(cache.memo_len(), 1);
     }
 
@@ -283,12 +260,10 @@ mod tests {
         let mut cache = SolverCache::new();
         cache.record(key(f.clone(), &d, 7), Outcome::Unsat, false);
         cache.record(key(g.clone(), &d, 9), Outcome::DeltaUnsat, true);
-        let _ = cache.lookup(&key(f.clone(), &d, 7)); // bump stats
         let export = cache.export();
         assert_eq!(export.memo.len(), 2);
-        let mut back = SolverCache::import(export.clone());
+        let back = SolverCache::import(export.clone());
         assert_eq!(back.memo_len(), 2);
-        assert_eq!(back.stats.cache_hits, cache.stats.cache_hits);
         let hit = back.lookup(&key(f, &d, 7)).expect("memo survives round trip");
         assert_eq!(hit.outcome, Outcome::Unsat);
         let hit = back.lookup(&key(g, &d, 9)).expect("memo survives round trip");

@@ -53,12 +53,10 @@
 //! [`FlameFold`] folds a [`crate::trace`] event stream into per-phase
 //! duration histograms and collapsed flame stacks
 //! (`engine.run;engine.iteration;solver.bnp 1234567`, self-time
-//! nanoseconds, inferno/flamegraph-compatible). [`MetricsSink`] is the
-//! live variant: a [`trace::Sink`] feeding the same fold as events are
-//! emitted; `trace-digest --flame` / `--metrics` run the fold offline
-//! over a JSONL file.
+//! nanoseconds, inferno/flamegraph-compatible); `trace-digest --flame` /
+//! `--metrics` run the fold over a JSONL file.
 
-use crate::trace::{self, Event, Kind};
+use crate::trace::{Event, Kind};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -760,38 +758,6 @@ impl FlameReport {
     }
 }
 
-/// A live [`trace::Sink`] feeding a [`FlameFold`]: attach it (alone or
-/// behind a fan-out sink) to profile a run in process without writing a
-/// JSONL file first.
-pub struct MetricsSink {
-    fold: Mutex<FlameFold>,
-}
-
-impl MetricsSink {
-    /// An empty sink.
-    #[must_use]
-    pub fn new() -> MetricsSink {
-        MetricsSink { fold: Mutex::new(FlameFold::new()) }
-    }
-
-    /// Take the fold's current report, resetting the sink.
-    pub fn take(&self) -> FlameReport {
-        std::mem::take(&mut *self.fold.lock().unwrap_or_else(PoisonError::into_inner)).finish()
-    }
-}
-
-impl Default for MetricsSink {
-    fn default() -> MetricsSink {
-        MetricsSink::new()
-    }
-}
-
-impl trace::Sink for MetricsSink {
-    fn record(&self, event: &Event) {
-        self.fold.lock().unwrap_or_else(PoisonError::into_inner).feed(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1072,17 +1038,6 @@ mod tests {
         let report = fold.finish();
         assert_eq!(report.dropped, 2);
         assert_eq!(report.unclosed, 2);
-    }
-
-    #[test]
-    fn metrics_sink_is_a_live_fold() {
-        let sink = MetricsSink::new();
-        trace::Sink::record(&sink, &ev(Kind::SpanStart, "x", 3, None));
-        trace::Sink::record(&sink, &ev(Kind::SpanEnd, "x", 3, Some(42)));
-        let report = sink.take();
-        assert_eq!(report.stacks["x"], 42);
-        // take() resets.
-        assert!(sink.take().stacks.is_empty());
     }
 
     #[test]

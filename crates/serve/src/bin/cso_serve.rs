@@ -9,16 +9,19 @@
 //! 10000), each with its own seed and its own ground-truth architect over
 //! the SWAN sketch, and pumps them all to convergence through the
 //! [`SessionManager`]'s batched scheduler. Sessions/sec and step-latency
-//! percentiles land in `BENCH_serve.json`.
+//! percentiles land in `BENCH_serve.json`. The percentiles come from the
+//! manager's step-latency histogram, which times every step on its own
+//! worker, so `--bench` always turns metrics collection on.
 //!
 //! When `CSO_SERVE_SNAPDIR` is set, a slice of parked sessions is evicted
 //! to disk each round and transparently restored when next stepped, so the
 //! benchmark also exercises the snapshot path end to end.
 //!
-//! With `CSO_METRICS=expo:<path>` the driver publishes a fleet snapshot
-//! to `<path>` after every round (counters, occupancy gauges including
-//! parked/done, step-latency histogram) and prints a fleet-end summary;
-//! the final exposition is left at `<path>` for scraping or `perf-diff`.
+//! With `CSO_METRICS=expo:<path>` the driver also publishes a fleet
+//! snapshot to `<path>` after every round (counters, occupancy gauges
+//! including parked/done, step-latency histogram); the final exposition
+//! is left at `<path>` for scraping or `perf-diff`. Every run ends with a
+//! fleet summary on stdout.
 
 #![forbid(unsafe_code)]
 
@@ -38,6 +41,8 @@ use std::time::Instant;
 /// answers, and sessions that reached `Done`.
 static PARKED: Gauge = Gauge::new("cso_serve_sessions_parked");
 static DONE: Gauge = Gauge::new("cso_serve_sessions_done");
+/// The manager's per-step latency histogram.
+const STEP_LATENCY: &str = "cso_serve_step_latency_ns";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -130,16 +135,15 @@ fn architect_for(id: u64) -> GroundTruthOracle {
 
 /// Fleet-end metrics summary: registry counters plus the step-latency
 /// histogram's quantile estimates (log-bucketed, ≤ 3.125 % relative
-/// error — independent of the exact `step_p*` percentiles in the JSON).
-fn print_fleet_summary(mgr: &SessionManager, completed: usize) {
-    let snap = metrics::snapshot();
+/// error, never below the exact quantile).
+fn print_fleet_summary(mgr: &SessionManager, snap: &metrics::Snapshot, completed: usize) {
     println!("fleet metrics (sessions done: {completed}, evicted now: {}):", mgr.evicted_len());
     for (name, v) in &snap.counters {
         if name.starts_with("cso_serve_") {
             println!("  {name:<36} {v}");
         }
     }
-    if let Some(h) = snap.histograms.get("cso_serve_step_latency_ns") {
+    if let Some(h) = snap.histograms.get(STEP_LATENCY) {
         println!(
             "  step latency: p50 {:.2} ms, p90 {:.2} ms, p99 {:.2} ms, p999 {:.2} ms \
              ({} steps)",
@@ -155,15 +159,11 @@ fn print_fleet_summary(mgr: &SessionManager, completed: usize) {
     }
 }
 
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() - 1) as f64 * p).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
 fn run_bench(n: usize, out: &str) -> bool {
+    // `enabled()` reads `CSO_METRICS` first, so an `expo:` path survives.
+    if !metrics::enabled() {
+        metrics::enable();
+    }
     let serve_cfg = ServeConfig::from_env();
     let evicting = serve_cfg.snapdir.is_some();
     let batch = serve_cfg.batch;
@@ -180,15 +180,11 @@ fn run_bench(n: usize, out: &str) -> bool {
 
     let t0 = Instant::now();
     let mut pending = mgr.ids();
-    let mut step_ms: Vec<f64> = Vec::new();
-    let mut steps = 0u64;
     let mut completed = 0usize;
     let mut failed = 0usize;
-    let mut evictions = 0u64;
     let mut round = 0u64;
     while !pending.is_empty() {
         round += 1;
-        let batch_t0 = Instant::now();
         let results = match mgr.step_batch(&pending) {
             Ok(r) => r,
             Err(e) => {
@@ -196,15 +192,8 @@ fn run_bench(n: usize, out: &str) -> bool {
                 return false;
             }
         };
-        // Per-step latency approximated as batch wall-clock divided by the
-        // sessions stepped: individual timing inside pool workers would
-        // serialize on the clock, and the scheduler-level number is what a
-        // service operator sees anyway.
-        let per_step = batch_t0.elapsed().as_secs_f64() * 1e3 / results.len().max(1) as f64;
         let mut still = Vec::with_capacity(results.len());
         for (id, result) in results {
-            steps += 1;
-            step_ms.push(per_step);
             match result {
                 StepResult::NeedsRanking { scenarios, .. } => {
                     let ranking = oracles.get_mut(&id).expect("oracle exists").rank(&scenarios);
@@ -229,27 +218,27 @@ fn run_bench(n: usize, out: &str) -> bool {
             let offset = (round as usize) % stride;
             let mut idx = offset;
             while idx < still.len() {
-                if mgr.evict(still[idx]).is_ok() {
-                    evictions += 1;
-                }
+                // A failed eviction leaves the session resident; the
+                // evictions counter counts only successful ones.
+                let _ = mgr.evict(still[idx]);
                 idx += stride;
             }
         }
         pending = still;
         // Publish a periodic fleet snapshot: occupancy gauges refreshed
         // here, everything else accumulated inside the manager.
-        if metrics::enabled() {
-            PARKED.set(pending.len() as i64);
-            DONE.set(completed as i64);
-            metrics::flush_exposition();
-        }
+        PARKED.set(pending.len() as i64);
+        DONE.set(completed as i64);
+        metrics::flush_exposition();
     }
     let elapsed = t0.elapsed().as_secs_f64();
-    if metrics::enabled() {
-        print_fleet_summary(&mgr, completed);
-    }
+    let snap = metrics::snapshot();
+    print_fleet_summary(&mgr, &snap, completed);
+    let step = snap.histograms.get(STEP_LATENCY).cloned().unwrap_or_default();
+    let step_ms = |q: f64| step.quantile(q) as f64 / 1e6;
+    let steps = step.count();
+    let evictions = snap.counters.get("cso_serve_evictions_total").copied().unwrap_or(0);
 
-    step_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let mut provenance = Provenance::capture();
     provenance.threads = threads.to_string();
     let report = format!(
@@ -263,8 +252,8 @@ fn run_bench(n: usize, out: &str) -> bool {
         prov = provenance.to_json(),
         sps = completed as f64 / elapsed.max(1e-9),
         stps = steps as f64 / elapsed.max(1e-9),
-        p50 = percentile(&step_ms, 0.50),
-        p99 = percentile(&step_ms, 0.99),
+        p50 = step_ms(0.50),
+        p99 = step_ms(0.99),
     );
     match std::fs::File::create(out).and_then(|mut f| f.write_all(report.as_bytes())) {
         Ok(()) => {}

@@ -47,6 +47,7 @@ use std::fs::File;
 use std::io::{LineWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 
 // A parked session must be movable into pool workers.
 const _: fn() = || {
@@ -258,23 +259,19 @@ impl SessionManager {
                 }
             }
             let threads = self.cfg.threads.min(batch.len().max(1));
-            let n = batch.len();
-            let t0 = std::time::Instant::now();
+            STEPS.inc(batch.len() as u64);
+            // Each worker times its own steps, so the histogram holds true
+            // per-step latencies, not the chunk's wall-clock spread over
+            // its sessions. Clock reads on separate threads do not contend.
+            let timed = metrics::enabled();
             let stepped = scoped_map(batch, threads, |mut session| {
+                let t0 = timed.then(Instant::now);
                 let result = session.step();
+                if let Some(t0) = t0 {
+                    STEP_NS.observe_duration(t0.elapsed());
+                }
                 (session, result)
             });
-            if metrics::enabled() && n > 0 {
-                // One clock read per chunk; the per-step estimate is the
-                // chunk wall-clock spread over its sessions, observed once
-                // per session so the histogram weighs batches by size.
-                STEPS.inc(n as u64);
-                let per_step =
-                    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX) / n as u64;
-                for _ in 0..n {
-                    STEP_NS.observe(per_step);
-                }
-            }
             for (session, result) in stepped {
                 out.push((session.id(), result));
                 self.slots.insert(session.id(), Slot::Resident(Box::new(session)));
